@@ -5,26 +5,22 @@
 //! cargo run --release -p symsim-bench --bin bench_coanalysis [-- --smoke]
 //! ```
 //!
-//! Each (cpu, benchmark) pair runs five times — event-driven, hybrid
-//! batched dispatch, path-cohort lane evaluation, the compiled native
-//! kernel, and a hybrid run under the adaptive CSM policy — with a single
-//! worker so the explorations are deterministic and comparable. The binary
-//! *asserts* that the four eval modes produce identical
-//! `paths_created`/`simulated_cycles`/exercisable-gate results (the
-//! batched, cohort, and compiled kernels must only change speed, never
-//! results) and records every throughput so the speedups are visible
-//! in-repo. Cohort runs additionally carry a `cohort` section per entry
-//! (cohorts formed, mean/max lane occupancy, scalar spills); compiled runs
-//! carry a `compiled` section (kernel settles, cache hit/miss, and the
-//! cold-start wall time of the run that paid codegen — the measured entry
-//! itself runs on a warm cache, so `rustc` cost is excluded).
+//! Each (cpu, benchmark) pair runs four times — event-driven, hybrid
+//! batched dispatch, path-cohort lane evaluation, and a hybrid run under
+//! the adaptive CSM policy — with a single worker so the explorations are
+//! deterministic and comparable. The binary *asserts* that the three eval
+//! modes produce identical `paths_created`/`simulated_cycles`/
+//! exercisable-gate results (the batched and cohort kernels must only
+//! change speed, never results) and records every throughput so the
+//! speedups are visible in-repo. Cohort runs additionally carry a `cohort`
+//! section per entry (cohorts formed, mean/max lane occupancy, scalar
+//! spills).
 //!
 //! Modes and observability flags:
 //!
-//! * `--smoke` runs only the smallest pair in `event`, `batch`, `cohort`,
-//!   and `compiled` modes and writes no bench file: the CI divergence check
-//!   (all results are asserted identical to event mode, and the second
-//!   compiled run must hit the kernel cache).
+//! * `--smoke` runs only the smallest pair in `event`, `hybrid`, and
+//!   `cohort` modes and writes no bench file: the CI divergence check (all
+//!   results are asserted identical to event mode).
 //! * `--pair cpu/bench` (e.g. `dr5/binsearch`) runs that single pair once
 //!   (`--eval-mode`, default hybrid; `--csm-policy single|multi:N|adaptive`,
 //!   default single) and prints the report as JSON.
@@ -58,6 +54,8 @@
 //!   carries a top-level `env` block (git commit, rustc, host). `--smoke`
 //!   adds a best-of-3 ledger-on vs ledger-off comparison (the append must
 //!   be free) plus an append → read-back → self-diff round trip.
+
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -337,28 +335,6 @@ fn cohort_section(r: &CoAnalysisReport) -> String {
     )
 }
 
-/// The per-entry `compiled` section: native-kernel effectiveness read from
-/// the run's report. `null` for runs that never touched the compiled
-/// backend. `cold_wall_s` is the wall time of the cache-cold run that paid
-/// codegen + `rustc` (the measured entry runs warm).
-fn compiled_section(r: &CoAnalysisReport, cold_wall_s: Option<f64>) -> String {
-    let hits = r.metrics.counter("compiled_cache_hits");
-    let misses = r.metrics.counter("compiled_cache_misses");
-    if r.compiled_evals == 0 && hits == 0 && misses == 0 {
-        return "null".to_string();
-    }
-    let cold = match cold_wall_s {
-        Some(s) => format!("{s:.6}"),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{ \"effective_eval_mode\": \"{}\", \"kernel_settles\": {}, \
-         \"cache_hits\": {hits}, \"cache_misses\": {misses}, \
-         \"cold_wall_seconds\": {cold} }}",
-        r.eval_mode, r.compiled_evals,
-    )
-}
-
 /// The per-entry `csm` section: which policy governed the run and what the
 /// Conservative State Manager did with it — repository size, cover/widen
 /// traffic, adaptive demotions, subsumption prunes, pre-split kills, and
@@ -410,14 +386,7 @@ fn provenance_section(r: &CoAnalysisReport) -> String {
     s
 }
 
-fn entry(
-    kind: CpuKind,
-    bench: &str,
-    mode: EvalMode,
-    policy: CsmPolicy,
-    run: &RunResult,
-    cold_wall_s: Option<f64>,
-) -> String {
+fn entry(kind: CpuKind, bench: &str, mode: EvalMode, policy: CsmPolicy, run: &RunResult) -> String {
     let r = &run.report;
     let secs = r.wall_time.as_secs_f64().max(1e-9);
     let trace = match &run.trace {
@@ -432,7 +401,7 @@ fn entry(
          \"paths_created\": {}, \"paths_dropped\": {}, \"simulated_cycles\": {}, \
          \"batched_level_evals\": {}, \"event_evals\": {}, \"wall_seconds\": {:.6}, \
          \"cycles_per_sec\": {:.1}, \"paths_per_sec\": {:.1}, \"trace\": {trace}, \
-         \"cohort\": {}, \"compiled\": {}, \"csm\": {}, \"provenance\": {}, \
+         \"cohort\": {}, \"csm\": {}, \"provenance\": {}, \
          \"metrics\": {} }}",
         kind.name(),
         bench,
@@ -446,7 +415,6 @@ fn entry(
         r.simulated_cycles as f64 / secs,
         r.paths_simulated as f64 / secs,
         cohort_section(r),
-        compiled_section(r, cold_wall_s),
         csm_section(r, policy),
         provenance_section(r),
         r.metrics.to_json_compact(),
@@ -481,40 +449,19 @@ fn main() {
         let (kind, bench) = SMOKE;
         info!(
             "bench",
-            "smoke: {} / {bench} in event, batch, cohort, and compiled modes...",
+            "smoke: {} / {bench} in event, hybrid, and cohort modes...",
             kind.name()
         );
         let single = CsmPolicy::SingleMerge;
         let event = run_mode(kind, bench, EvalMode::Event, single, &opts, false, false).report;
-        let batch = run_mode(kind, bench, EvalMode::Batch, single, &opts, false, false).report;
-        assert_equivalent(kind, bench, &event, &batch, EvalMode::Batch);
+        let hybrid = run_mode(kind, bench, EvalMode::Hybrid, single, &opts, false, false).report;
+        assert_equivalent(kind, bench, &event, &hybrid, EvalMode::Hybrid);
         let cohort = run_mode(kind, bench, EvalMode::Cohort, single, &opts, false, false).report;
         assert_equivalent(kind, bench, &event, &cohort, EvalMode::Cohort);
         assert!(
             cohort.metrics.counter("cohorts_formed") > 0,
             "smoke: cohort mode never packed a lane cohort"
         );
-        // first compiled run may pay codegen; second must hit the cache
-        let cold = run_mode(kind, bench, EvalMode::Compiled, single, &opts, false, false).report;
-        assert_equivalent(kind, bench, &event, &cold, EvalMode::Compiled);
-        let warm = run_mode(kind, bench, EvalMode::Compiled, single, &opts, false, false).report;
-        assert_equivalent(kind, bench, &event, &warm, EvalMode::Compiled);
-        if warm.eval_mode == "compiled" {
-            assert!(
-                warm.compiled_evals > 0,
-                "smoke: compiled mode never ran the native kernel"
-            );
-            assert_eq!(
-                warm.metrics.counter("compiled_cache_hits"),
-                1,
-                "smoke: second compiled run missed the kernel cache"
-            );
-        } else {
-            info!(
-                "bench",
-                "smoke: no usable rustc, compiled legs degraded to hybrid"
-            );
-        }
         // the adaptive CSM may prune paths but must land on the identical
         // exercisable-gate verdict
         let adaptive = run_mode(
@@ -553,7 +500,7 @@ fn main() {
         info!(
             "bench",
             { cycles = event.simulated_cycles, exercisable = event.exercisable_gates },
-            "smoke ok: {} cycles, {} gates exercisable in all four modes",
+            "smoke ok: {} cycles, {} gates exercisable in all three modes",
             event.simulated_cycles, event.exercisable_gates
         );
         if opts.trace_out.is_some() {
@@ -581,23 +528,6 @@ fn main() {
         );
         let cohort = run_mode(kind, bench, EvalMode::Cohort, single, &opts, true, false);
         assert_equivalent(kind, bench, &event.report, &cohort.report, EvalMode::Cohort);
-        info!(
-            "bench",
-            "co-analysis: {} / {bench} (compiled, cold then warm)...",
-            kind.name()
-        );
-        // the cold run pays codegen + rustc and primes the kernel cache; the
-        // warm run is the recorded entry, so the benchmark measures steady
-        // state and the one-time compile cost is reported separately
-        let compiled_cold = run_mode(kind, bench, EvalMode::Compiled, single, &opts, false, false);
-        let compiled = run_mode(kind, bench, EvalMode::Compiled, single, &opts, true, false);
-        assert_equivalent(
-            kind,
-            bench,
-            &event.report,
-            &compiled.report,
-            EvalMode::Compiled,
-        );
         info!(
             "bench",
             "co-analysis: {} / {bench} (adaptive csm)...",
@@ -680,19 +610,16 @@ fn main() {
         let event_secs = event.report.wall_time.as_secs_f64().max(1e-9);
         let hybrid_secs = hybrid.report.wall_time.as_secs_f64().max(1e-9);
         let cohort_secs = cohort.report.wall_time.as_secs_f64().max(1e-9);
-        let compiled_secs = compiled.report.wall_time.as_secs_f64().max(1e-9);
         info!(
             "bench",
             "  {} / {bench}: {:.1} -> {:.1} (hybrid, {:.2}x) -> {:.1} (cohort, {:.2}x) \
-             -> {:.1} (compiled, {:.2}x) cycles/sec",
+             cycles/sec",
             kind.name(),
             event.report.simulated_cycles as f64 / event_secs,
             hybrid.report.simulated_cycles as f64 / hybrid_secs,
             event_secs / hybrid_secs,
             cohort.report.simulated_cycles as f64 / cohort_secs,
             event_secs / cohort_secs,
-            compiled.report.simulated_cycles as f64 / compiled_secs,
-            event_secs / compiled_secs,
         );
         info!(
             "bench",
@@ -704,33 +631,17 @@ fn main() {
             adaptive.report.paths_killed_presplit,
             adaptive.report.csm_policy_demotions,
         );
-        entries.push(entry(kind, bench, EvalMode::Event, single, &event, None));
-        entries.push(entry(kind, bench, EvalMode::Hybrid, single, &hybrid, None));
-        entries.push(entry(kind, bench, EvalMode::Cohort, single, &cohort, None));
-        entries.push(entry(
-            kind,
-            bench,
-            EvalMode::Compiled,
-            single,
-            &compiled,
-            Some(compiled_cold.report.wall_time.as_secs_f64()),
-        ));
+        entries.push(entry(kind, bench, EvalMode::Event, single, &event));
+        entries.push(entry(kind, bench, EvalMode::Hybrid, single, &hybrid));
+        entries.push(entry(kind, bench, EvalMode::Cohort, single, &cohort));
         entries.push(entry(
             kind,
             bench,
             EvalMode::Hybrid,
             CsmPolicy::adaptive(),
             &adaptive,
-            None,
         ));
-        entries.push(entry(
-            kind,
-            bench,
-            EvalMode::Event,
-            single,
-            &attributed,
-            None,
-        ));
+        entries.push(entry(kind, bench, EvalMode::Event, single, &attributed));
     }
     let mut runs = String::new();
     for (i, e) in entries.iter().enumerate() {
@@ -750,7 +661,7 @@ fn main() {
 }
 
 /// The `--smoke --trace-out` check: best-of-3 untraced vs best-of-3 traced
-/// batch runs of the smoke pair. Asserts the traced run reproduces the
+/// hybrid runs of the smoke pair. Asserts the traced run reproduces the
 /// reference results and records cleanly (events, no drops), and that the
 /// untraced run stays within noise — tracing can only ever *add* work, so
 /// an untraced run slower than the traced one beyond noise means the
@@ -761,7 +672,7 @@ fn smoke_trace_check(kind: CpuKind, bench: &str, reference: &CoAnalysisReport, o
             let run = run_mode(
                 kind,
                 bench,
-                EvalMode::Batch,
+                EvalMode::Hybrid,
                 CsmPolicy::SingleMerge,
                 opts,
                 traced,
@@ -772,8 +683,8 @@ fn smoke_trace_check(kind: CpuKind, bench: &str, reference: &CoAnalysisReport, o
     };
     let (off_s, off_run) = best_of_3(false);
     let (on_s, on_run) = best_of_3(true);
-    assert_equivalent(kind, bench, reference, &off_run.report, EvalMode::Batch);
-    assert_equivalent(kind, bench, reference, &on_run.report, EvalMode::Batch);
+    assert_equivalent(kind, bench, reference, &off_run.report, EvalMode::Hybrid);
+    assert_equivalent(kind, bench, reference, &on_run.report, EvalMode::Hybrid);
     let stats = on_run.trace.expect("traced smoke run yields trace stats");
     assert!(stats.events > 0, "smoke trace recorded no events");
     assert_eq!(stats.dropped, 0, "smoke trace dropped records");
@@ -788,7 +699,7 @@ fn smoke_trace_check(kind: CpuKind, bench: &str, reference: &CoAnalysisReport, o
 }
 
 /// The `--smoke` attribution-cost check: best-of-3 unattributed vs
-/// best-of-3 attributed batch runs of the smoke pair. The attributed run
+/// best-of-3 attributed hybrid runs of the smoke pair. The attributed run
 /// must reproduce the reference results; the attribution-off run must stay
 /// within noise of the attributed one — the one-shot first-toggle hook is
 /// behind an `Option` check, so with the flag off it must cost nothing
@@ -799,7 +710,7 @@ fn smoke_attribution_check(kind: CpuKind, bench: &str, reference: &CoAnalysisRep
             let run = run_mode(
                 kind,
                 bench,
-                EvalMode::Batch,
+                EvalMode::Hybrid,
                 CsmPolicy::SingleMerge,
                 opts,
                 false,
@@ -810,8 +721,8 @@ fn smoke_attribution_check(kind: CpuKind, bench: &str, reference: &CoAnalysisRep
     };
     let (off_s, off_run) = best_of_3(false);
     let (on_s, on_run) = best_of_3(true);
-    assert_equivalent(kind, bench, reference, &off_run.report, EvalMode::Batch);
-    assert_equivalent(kind, bench, reference, &on_run.report, EvalMode::Batch);
+    assert_equivalent(kind, bench, reference, &off_run.report, EvalMode::Hybrid);
+    assert_equivalent(kind, bench, reference, &on_run.report, EvalMode::Hybrid);
     let on_prov = on_run
         .report
         .provenance
@@ -832,7 +743,7 @@ fn smoke_attribution_check(kind: CpuKind, bench: &str, reference: &CoAnalysisRep
 }
 
 /// The `--smoke` ledger-cost check: best-of-3 ledger-off vs best-of-3
-/// ledger-on batch runs of the smoke pair. The ledger record is built once
+/// ledger-on hybrid runs of the smoke pair. The ledger record is built once
 /// at report assembly and appended after the run, so the enabled run must
 /// stay within the shared noise band of the disabled one. The three
 /// appended records are then read back and the last is diffed against the
@@ -850,7 +761,7 @@ fn smoke_ledger_check(kind: CpuKind, bench: &str, reference: &CoAnalysisReport, 
             let run = run_mode(
                 kind,
                 bench,
-                EvalMode::Batch,
+                EvalMode::Hybrid,
                 CsmPolicy::SingleMerge,
                 o,
                 false,
@@ -861,8 +772,8 @@ fn smoke_ledger_check(kind: CpuKind, bench: &str, reference: &CoAnalysisReport, 
     };
     let (off_s, off_run) = best_of_3(&off_opts);
     let (on_s, on_run) = best_of_3(&on_opts);
-    assert_equivalent(kind, bench, reference, &off_run.report, EvalMode::Batch);
-    assert_equivalent(kind, bench, reference, &on_run.report, EvalMode::Batch);
+    assert_equivalent(kind, bench, reference, &off_run.report, EvalMode::Hybrid);
+    assert_equivalent(kind, bench, reference, &on_run.report, EvalMode::Hybrid);
     // acceptance: ledger-enabled run within noise of the disabled run
     noise::assert_within_noise("ledger-on vs ledger-off smoke run", off_s, on_s);
     let entries = symsim_obs::ledger::read(&tmp).expect("read back the smoke ledger");

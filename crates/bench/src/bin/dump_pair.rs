@@ -18,6 +18,8 @@
 //!
 //! and prints the flags line to stdout.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -5,6 +5,8 @@
 //! cargo run --release -p symsim-bench --bin tables -- table3 table4
 //! ```
 
+#![forbid(unsafe_code)]
+
 use symsim_bench::{
     ext_table, fig3_ablation, fig4_ablation, fig5, fig6, power_table, scaling_table, sweep, table1,
     table2, table3, table4, validate,

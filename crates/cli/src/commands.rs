@@ -32,7 +32,7 @@ usage:
                   [--csm-demote-widenings N] [--csm-demote-obs N]
                   [--workers N] [--max-cycles N]
                   [--max-paths N] [--profile-out profile.txt] [--power yes]
-                  [--tagged yes] [--eval-mode event|batch|hybrid|cohort|compiled]
+                  [--tagged yes] [--eval-mode event|hybrid|cohort]
                   [--batch-threshold PCT] [--attribution yes]
   symsim explain  <design.v> ... (same flags as analyze) [--net <net>]
                   [--witness-out witness.json]
@@ -48,13 +48,10 @@ usage:
   symsim simulate <design.v> --program app.hex --finish <net>
                   [--cycles N] [--pmem pmem] [--dmem dmem] [--data a=v,...]
                   [--watch net,net,...] [--vcd out.vcd]
-                  [--eval-mode event|batch|hybrid|cohort|compiled]
+                  [--eval-mode event|hybrid|cohort]
   symsim fault    <design.v> --program app.hex [--cycles N]
                   [--pmem pmem] [--dmem dmem] [--data a=v,...]
                   [--max-faults N] [--observe net,net,...]
-  symsim compile  <design.v> [--force yes] [--cache-dir DIR]
-                  (build the native settle kernel --eval-mode compiled uses,
-                  priming the cache; reports cache hit/miss and timings)
   symsim convert  <design.{v,blif}> --out <design.{v,blif}>
   symsim trace    summarize|lineage|hotspots|coverage|export-chrome
                   <run.trace> [--top N] [--max-lines N] [--out FILE]
@@ -114,7 +111,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "bespoke" => bespoke(&args),
         "simulate" => simulate(&args),
         "fault" => fault_cmd(&args),
-        "compile" => compile_cmd(&args),
         "convert" => convert(&args),
         "trace" => crate::trace_cmd::trace_cmd(&args),
         "runs" => crate::runs_cmd::runs_cmd(&args),
@@ -790,49 +786,6 @@ fn simulate(args: &Args) -> Result<(), String> {
 }
 
 /// Converts between the supported netlist formats (by output extension).
-/// Builds (or fetches from cache) the native settle kernel for a design,
-/// priming the cache `--eval-mode compiled` runs hit. `--force yes`
-/// rebuilds even on a cache hit; `--cache-dir` overrides the cache
-/// location (else `$SYMSIM_KERNEL_CACHE`, else the system temp dir).
-fn compile_cmd(args: &Args) -> Result<(), String> {
-    let netlist = load_netlist(args)?;
-    let opts = symsim_compile::PrepareOpts {
-        cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
-        force_rebuild: args.get("force").is_some(),
-    };
-    let kernel = symsim_compile::CompiledKernel::prepare(&netlist, &opts)
-        .map_err(|e| format!("cannot build native kernel for {}: {e}", netlist.name))?;
-    let info = kernel.info();
-    info!(
-        "compile",
-        {
-            design = netlist.name.as_str(),
-            cache_hit = info.cache_hit,
-            codegen_us = info.codegen_us,
-            load_us = info.load_us,
-            gates_emitted = info.gates_emitted as u64,
-            gates_folded = info.gates_folded as u64,
-            levels = info.levels as u64
-        },
-        "native settle kernel ready"
-    );
-    println!(
-        "{}: kernel {} ({:016x})\n  dylib: {}\n  levels: {}  segments: {}  \
-         gates emitted: {}  folded: {}\n  codegen+rustc: {} us  load: {} us",
-        netlist.name,
-        if info.cache_hit { "cache hit" } else { "built" },
-        info.design_hash,
-        info.dylib_path.display(),
-        info.levels,
-        kernel.segments().len(),
-        info.gates_emitted,
-        info.gates_folded,
-        info.codegen_us,
-        info.load_us,
-    );
-    Ok(())
-}
-
 fn convert(args: &Args) -> Result<(), String> {
     let netlist = load_netlist(args)?;
     let out = args.require("out")?;
@@ -965,14 +918,13 @@ mod tests {
     fn eval_mode_parsing() {
         assert_eq!(parse_eval_mode(None).unwrap(), EvalMode::default());
         assert_eq!(parse_eval_mode(Some("event")).unwrap(), EvalMode::Event);
-        assert_eq!(parse_eval_mode(Some("batch")).unwrap(), EvalMode::Batch);
         assert_eq!(parse_eval_mode(Some("hybrid")).unwrap(), EvalMode::Hybrid);
         assert_eq!(parse_eval_mode(Some("cohort")).unwrap(), EvalMode::Cohort);
-        assert_eq!(
-            parse_eval_mode(Some("compiled")).unwrap(),
-            EvalMode::Compiled
-        );
-        assert!(parse_eval_mode(Some("turbo")).is_err());
+        // the removed batch and compiled modes are rejected like any typo
+        for removed in ["batch", "compiled", "turbo"] {
+            let err = parse_eval_mode(Some(removed)).unwrap_err();
+            assert!(err.contains("expected event, hybrid, or cohort"), "{err}");
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! symsim simulate design.v --program app.hex --finish finish --cycles 10000
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod files;

@@ -2,12 +2,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use symsim_compile::{CompiledKernel, PrepareOpts};
 use symsim_logic::{plane::Lanes, Value, Word};
 use symsim_netlist::{NetId, Netlist};
 use symsim_obs::{
-    debug, info, trace, tracefile, warn, CounterId, GaugeId, HistogramId, MetricsRegistry,
-    TraceSink, DIRTY_PCT_BUCKETS,
+    debug, info, trace, tracefile, CounterId, GaugeId, HistogramId, MetricsRegistry, TraceSink,
+    DIRTY_PCT_BUCKETS,
 };
 use symsim_sim::{
     CohortLaneEnd, EvalMode, HaltReason, MonitorSpec, SimConfig, SimState, Simulator, ToggleProfile,
@@ -291,16 +290,6 @@ impl<'n> CoAnalysis<'n> {
         if let Some(tr) = &self.config.trace {
             tr.emit_meta(&self.netlist.name, workers);
         }
-        // one kernel for the whole run: codegen/rustc cost is paid once
-        // (or not at all on a cache hit) and the loaded dylib is shared by
-        // every worker; a failed build degrades the run to the hybrid
-        // interpreter rather than aborting it
-        let compiled = self.prepare_compiled(&registry);
-        let eval_mode = if self.config.sim.eval_mode == EvalMode::Compiled && compiled.is_none() {
-            EvalMode::Hybrid
-        } else {
-            self.config.sim.eval_mode
-        };
         info!(
             "analysis.start",
             { design = self.netlist.name.as_str(), workers = workers, max_paths = self.config.max_paths },
@@ -309,7 +298,7 @@ impl<'n> CoAnalysis<'n> {
 
         // root task from a freshly prepared simulator
         let root_state = {
-            let mut sim = self.make_sim(&prepare, compiled.as_ref());
+            let mut sim = self.make_sim(&prepare);
             sim.save_state()
         };
         // the provenance collector seeds synthetic reset attributions from
@@ -336,13 +325,12 @@ impl<'n> CoAnalysis<'n> {
                 let profiles = &profiles;
                 let activities = &activities;
                 let prepare = &prepare;
-                let compiled = &compiled;
                 let prov = &prov;
                 scope.spawn(move || {
                     if self.config.trace.is_some() {
                         tracefile::set_thread_worker(w as i64);
                     }
-                    let mut sim = self.make_sim(prepare, compiled.as_ref());
+                    let mut sim = self.make_sim(prepare);
                     self.worker_loop(w, &mut sim, queue, csm, created, registry, prov.as_ref());
                     // engine statistics are plain fields (no hot-path
                     // atomics); each worker drains its own once at exit
@@ -351,7 +339,6 @@ impl<'n> CoAnalysis<'n> {
                     shard.add(CounterId::BatchedLevelEvals, stats.batched_level_evals);
                     shard.add(CounterId::EventEvals, stats.event_evals);
                     shard.add(CounterId::ForcedWrites, stats.forced_writes);
-                    shard.add(CounterId::CompiledEvals, stats.compiled_evals);
                     for (bucket, &n) in stats.dirty_pct_hist.iter().enumerate() {
                         shard.observe_bucket(HistogramId::DirtyFractionPct, bucket, n);
                     }
@@ -402,7 +389,7 @@ impl<'n> CoAnalysis<'n> {
             activity,
             metrics,
             provenance,
-            eval_mode.name(),
+            self.config.sim.eval_mode.name(),
             start.elapsed(),
             workers,
         );
@@ -420,68 +407,14 @@ impl<'n> CoAnalysis<'n> {
         report
     }
 
-    /// Builds (or fetches from cache) the native settle kernel when the run
-    /// was configured for [`EvalMode::Compiled`]; `None` means interpreted
-    /// fallback — either the mode does not want a kernel or the build
-    /// failed, in which case the failure is logged and metered but never
-    /// fatal.
-    fn prepare_compiled(&self, registry: &Arc<MetricsRegistry>) -> Option<Arc<CompiledKernel>> {
-        if self.config.sim.eval_mode != EvalMode::Compiled {
-            return None;
-        }
-        match CompiledKernel::prepare(self.netlist, &PrepareOpts::default()) {
-            Ok(kernel) => {
-                let info = kernel.info();
-                let shard = registry.shard(0);
-                shard.inc(if info.cache_hit {
-                    CounterId::CompiledCacheHits
-                } else {
-                    CounterId::CompiledCacheMisses
-                });
-                shard.observe(HistogramId::PhaseCodegenUs, info.codegen_us);
-                shard.observe(HistogramId::PhaseLoadUs, info.load_us);
-                info!(
-                    "compile.kernel",
-                    {
-                        design = self.netlist.name.as_str(),
-                        cache_hit = info.cache_hit,
-                        codegen_us = info.codegen_us,
-                        load_us = info.load_us,
-                        gates_emitted = info.gates_emitted as u64,
-                        gates_folded = info.gates_folded as u64
-                    },
-                    "native settle kernel ready ({})",
-                    if info.cache_hit { "cache hit" } else { "built" }
-                );
-                Some(Arc::new(kernel))
-            }
-            Err(e) => {
-                warn!(
-                    "compile.fallback",
-                    { design = self.netlist.name.as_str(), error = e.as_str() },
-                    "cannot build native kernel, falling back to hybrid interpretation: {e}"
-                );
-                None
-            }
-        }
-    }
-
-    fn make_sim<F>(&self, prepare: &F, compiled: Option<&Arc<CompiledKernel>>) -> Simulator<'n>
+    fn make_sim<F>(&self, prepare: &F) -> Simulator<'n>
     where
         F: Fn(&mut Simulator<'_>),
     {
         let mut sim_config = self.config.sim;
         // tracing needs the engine's settle/batch/event timers
         sim_config.profile_phases |= self.config.trace.is_some();
-        // a compiled run without a kernel degrades to the hybrid
-        // interpreter (the fallback the report's `eval_mode` discloses)
-        if sim_config.eval_mode == EvalMode::Compiled && compiled.is_none() {
-            sim_config.eval_mode = EvalMode::Hybrid;
-        }
         let mut sim = Simulator::new(self.netlist, sim_config);
-        if let Some(kernel) = compiled {
-            sim.attach_compiled_kernel(Arc::clone(kernel));
-        }
         prepare(&mut sim);
         sim.settle();
         sim.monitor_x(self.iface.monitor.clone());

@@ -2,23 +2,88 @@
 //!
 //! Two runs are comparable when three things match: the design structure,
 //! the program image, and the analysis configuration. Each gets its own
-//! FNV-1a content hash (the workspace standard, reused from
-//! [`symsim_compile`]); [`combined`] folds them into the single
-//! `fingerprint` the ledger keys baselines on.
+//! FNV-1a content hash (`Fnv`, the workspace standard); [`combined`]
+//! folds them into the single `fingerprint` the ledger keys baselines on.
 //!
-//! The config hash folds the *requested* evaluation mode, not the
-//! effective one: a `--eval-mode compiled` run that degrades to hybrid
-//! (no toolchain) keeps its identity, and the regression in its wall time
-//! is exactly what `symsim runs diff` exists to surface.
+//! The config hash folds the *requested* evaluation mode: it is part of
+//! a run's identity, so runs in different modes never share a baseline.
 
-use symsim_compile::{structure_hash, Fnv};
 use symsim_netlist::Netlist;
 
 use crate::CoAnalysisConfig;
 
-/// Content hash of the design structure (see
-/// [`symsim_compile::structure_hash`]) — toolchain-independent, stable
-/// across processes.
+/// 64-bit FNV-1a, the workspace's standard dependency-free hash.
+#[derive(Debug)]
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A fresh hasher at the FNV offset basis.
+    pub fn new() -> Fnv {
+        Fnv(Self::OFFSET)
+    }
+
+    /// Folds a byte slice into the hash.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+        self
+    }
+
+    /// Folds one word into the hash (little-endian bytes).
+    pub fn word(&mut self, w: u64) -> &mut Fnv {
+        self.bytes(&w.to_le_bytes())
+    }
+
+    /// The accumulated hash.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
+
+/// Content hash of the netlist structure: gates, read-port wiring, and the
+/// net count. Net names, memory contents, write ports, and DFF init values
+/// stay out, so the same structure hashes the same in every process.
+pub(crate) fn structure_hash(netlist: &Netlist) -> u64 {
+    let mut h = Fnv::new();
+    h.word(netlist.net_count() as u64);
+    h.word(netlist.gate_count() as u64);
+    for gate in netlist.gates() {
+        h.word(gate.kind as u64);
+        h.word(gate.inputs.len() as u64);
+        for pin in &gate.inputs {
+            h.word(u64::from(pin.0));
+        }
+        h.word(u64::from(gate.output.0));
+    }
+    h.word(netlist.memories().len() as u64);
+    for mem in netlist.memories() {
+        h.word(mem.read_ports.len() as u64);
+        for rp in &mem.read_ports {
+            h.word(rp.addr.len() as u64);
+            for pin in &rp.addr {
+                h.word(u64::from(pin.0));
+            }
+            h.word(rp.data.len() as u64);
+            for pin in &rp.data {
+                h.word(u64::from(pin.0));
+            }
+        }
+    }
+    h.finish()
+}
+
+/// Content hash of the design structure: gates, read-port wiring, and
+/// the net count (the ledger's `design_hash`).
 pub fn design_fingerprint(netlist: &Netlist) -> u64 {
     structure_hash(netlist)
 }
@@ -72,6 +137,27 @@ pub fn combined(design: u64, program: u64, config_str: &str) -> u64 {
 mod tests {
     use super::*;
     use symsim_sim::EvalMode;
+
+    #[test]
+    fn structure_hash_is_stable_and_structure_sensitive() {
+        fn tiny() -> Netlist {
+            let mut n = Netlist::new("t");
+            let a = n.add_net("a");
+            let b = n.add_net("b");
+            let y = n.add_net("y");
+            n.add_input(a);
+            n.add_input(b);
+            n.add_gate(symsim_netlist::CellKind::And2, &[a, b], y);
+            n
+        }
+        let n = tiny();
+        assert_eq!(structure_hash(&n), structure_hash(&tiny()));
+        let mut m = tiny();
+        let z = m.add_net("z");
+        let y = m.find_net("y").unwrap();
+        m.add_gate(symsim_netlist::CellKind::Not, &[y], z);
+        assert_ne!(structure_hash(&n), structure_hash(&m));
+    }
 
     #[test]
     fn program_hash_is_content_and_length_sensitive() {

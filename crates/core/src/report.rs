@@ -1,12 +1,11 @@
 use std::time::Duration;
 
-use symsim_compile::Fnv;
 use symsim_netlist::Netlist;
 use symsim_obs::ledger::LedgerRecord;
 use symsim_obs::{env_fingerprint, EnvFingerprint, JsonObject, MetricsSnapshot};
 use symsim_sim::{ActivityStats, ToggleProfile};
 
-use crate::fingerprint;
+use crate::fingerprint::{self, Fnv};
 use crate::provenance::ProvenanceMap;
 
 /// The output of a co-analysis run: the exercisable-gate dichotomy and the
@@ -58,12 +57,7 @@ pub struct CoAnalysisReport {
     /// Scalar node evaluations (event-driven gates, memory reads, and
     /// symbolic-lane fallbacks), summed over all workers.
     pub event_evals: u64,
-    /// Native compiled-kernel settle passes, summed over all workers (zero
-    /// unless the run executed under [`symsim_sim::EvalMode::Compiled`]).
-    pub compiled_evals: u64,
-    /// The evaluation mode the run *actually* executed under. This is the
-    /// effective mode: a `--eval-mode compiled` run that could not build a
-    /// native kernel (no toolchain, codegen failure) reports `"hybrid"`.
+    /// The evaluation mode the run executed under.
     pub eval_mode: String,
     /// Order-independent content hash of the verdict — the exercisable
     /// gate set (combinational outputs and DFF `q`s that toggled), folded
@@ -126,7 +120,6 @@ impl CoAnalysisReport {
             distinct_pcs: metrics.gauge("csm_distinct_pcs") as usize,
             batched_level_evals: metrics.counter("batched_level_evals"),
             event_evals: metrics.counter("event_evals"),
-            compiled_evals: metrics.counter("compiled_evals"),
             eval_mode: eval_mode.to_string(),
             verdict_digest: verdict_digest(netlist, &profile),
             env,
@@ -228,7 +221,6 @@ impl CoAnalysisReport {
             .u64("distinct_pcs", self.distinct_pcs as u64)
             .u64("batched_level_evals", self.batched_level_evals)
             .u64("event_evals", self.event_evals)
-            .u64("compiled_evals", self.compiled_evals)
             .str("eval_mode", &self.eval_mode)
             .str("verdict_digest", &self.verdict_digest_hex())
             .raw("env", &self.env.to_json())
@@ -328,7 +320,6 @@ mod tests {
             distinct_pcs: 2,
             batched_level_evals: 7,
             event_evals: 42,
-            compiled_evals: 0,
             eval_mode: "hybrid".into(),
             verdict_digest: 0xfeed,
             env: EnvFingerprint {

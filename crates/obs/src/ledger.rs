@@ -52,8 +52,7 @@ pub const LEDGER_DEFAULT: &str = ".symsim/ledger.ndjson";
 pub struct EnvFingerprint {
     /// Short git commit of the working tree (`unknown` outside a repo).
     pub git_commit: String,
-    /// `rustc -V` of the toolchain on `$PATH` (honors `$SYMSIM_RUSTC`,
-    /// the same override the compiled backend uses).
+    /// `rustc -V` of the toolchain on `$PATH`.
     pub rustc: String,
     /// Host triple approximation: `arch-os` from the running binary.
     pub host: String,
@@ -91,10 +90,7 @@ pub fn env_fingerprint(workers: usize) -> EnvFingerprint {
     let git = GIT.get_or_init(|| {
         probe("git", &["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into())
     });
-    let rustc = RUSTC.get_or_init(|| {
-        let rustc = std::env::var("SYMSIM_RUSTC").unwrap_or_else(|_| "rustc".into());
-        probe(&rustc, &["-V"]).unwrap_or_else(|| "unknown".into())
-    });
+    let rustc = RUSTC.get_or_init(|| probe("rustc", &["-V"]).unwrap_or_else(|| "unknown".into()));
     EnvFingerprint {
         git_commit: git.clone(),
         rustc: rustc.clone(),
@@ -125,7 +121,7 @@ pub struct LedgerRecord {
     pub program_hash: String,
     /// Canonical config string the fingerprint folds in.
     pub config: String,
-    /// Effective evaluation mode the run executed under.
+    /// Evaluation mode the run executed under.
     pub eval_mode: String,
     /// Order-independent hash of the exercisable-gate set (hex).
     pub verdict_digest: String,
@@ -247,7 +243,7 @@ pub struct LedgerEntry {
     pub fingerprint: String,
     /// Canonical config string.
     pub config: String,
-    /// Effective eval mode.
+    /// Eval mode the run executed under.
     pub eval_mode: String,
     /// Verdict digest (hex).
     pub verdict_digest: String,
@@ -725,6 +721,30 @@ mod tests {
         assert!(!diff.fingerprint_mismatch);
         assert!(diff.counter_deltas.is_empty());
         assert!(diff.perf.iter().all(|p| !p.regressed && !p.improved));
+    }
+
+    #[test]
+    fn metrics_only_the_baseline_carries_are_ignored() {
+        let current = LedgerEntry::from_json(&record().to_json()).unwrap();
+        let mut older = record();
+        older.metrics_json = older
+            .metrics_json
+            .replacen("{", r#"{"retired_counter":7,"#, 1)
+            .replace(
+                r#""histograms":{"#,
+                r#""histograms":{"phase_retired_us":{"bounds":[1],"counts":[0,4],"samples":4},"#,
+            );
+        let base = LedgerEntry::from_json(&older.to_json()).unwrap();
+        assert_eq!(
+            base.metrics
+                .get("retired_counter")
+                .and_then(JsonValue::as_i64),
+            Some(7)
+        );
+        let diff = compare(&current, &[&base], &DiffOpts::default());
+        assert!(!diff.failed());
+        assert!(diff.counter_deltas.is_empty());
+        assert!(diff.perf.iter().all(|p| p.metric != "phase_retired_us"));
     }
 
     #[test]

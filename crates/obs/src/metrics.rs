@@ -55,13 +55,6 @@ pub enum CounterId {
     /// Cohort lanes spilled back to scalar segments on a fully-unknown
     /// memory address.
     CohortLaneSpills,
-    /// Full-netlist settle passes run by a compiled native kernel.
-    CompiledEvals,
-    /// Compiled-kernel cache lookups served by an existing dylib (zero
-    /// codegen cost).
-    CompiledCacheHits,
-    /// Compiled-kernel cache misses that triggered codegen + `rustc`.
-    CompiledCacheMisses,
     /// Adaptive-policy PC entries collapsed from multi-state to the
     /// single-merge uber-state (one per demoted PC).
     CsmPolicyDemotions,
@@ -98,9 +91,6 @@ const COUNTER_NAMES: [&str; COUNTERS] = [
     "cohorts_formed",
     "cohort_member_paths",
     "cohort_lane_spills",
-    "compiled_evals",
-    "compiled_cache_hits",
-    "compiled_cache_misses",
     "csm_policy_demotions",
     "csm_slots_pruned",
     "csm_constraint_conflicts",
@@ -163,15 +153,9 @@ pub enum HistogramId {
     PhaseEventEvalUs,
     /// Member paths per formed cohort (lane occupancy).
     CohortLaneOccupancy,
-    /// Kernel source generation + `rustc` build time per cache miss, µs.
-    /// A cold build is rustc-dominated (hundreds of ms to minutes), hence
-    /// the coarse second-scale bounds.
-    PhaseCodegenUs,
-    /// Compiled-kernel dylib open/validate time per run, µs.
-    PhaseLoadUs,
 }
 
-const HISTOGRAM_COUNT: usize = HistogramId::PhaseLoadUs as usize + 1;
+const HISTOGRAM_COUNT: usize = HistogramId::CohortLaneOccupancy as usize + 1;
 
 /// Bucket count of [`HistogramId::DirtyFractionPct`]: ten deciles plus the
 /// exactly-100% bucket.
@@ -198,10 +182,6 @@ const HISTOGRAM_BOUNDS: [&[u64]; HISTOGRAM_COUNT] = [
     PHASE_US_BOUNDS,
     // lane occupancy: powers of two up to the 64-lane plane width
     &[1, 2, 4, 8, 16, 32, 64],
-    // codegen + rustc: millisecond-to-minute scale
-    &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000],
-    // dlopen + meta validation: sub-ms typical, allow slow filesystems
-    &[64, 256, 1024, 4096, 16384, 65536],
 ];
 
 const HISTOGRAM_NAMES: [&str; HISTOGRAM_COUNT] = [
@@ -217,8 +197,6 @@ const HISTOGRAM_NAMES: [&str; HISTOGRAM_COUNT] = [
     "phase_batch_eval_us",
     "phase_event_eval_us",
     "cohort_lane_occupancy",
-    "phase_codegen_us",
-    "phase_load_us",
 ];
 
 /// Largest bucket array any histogram needs (bounds + overflow):

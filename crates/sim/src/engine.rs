@@ -1,7 +1,5 @@
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use symsim_compile::CompiledKernel;
 use symsim_logic::{ops, plane, plane::Lanes, PropagationPolicy, Value, Word};
 use symsim_netlist::{CellKind, CombNode, Driver, NetId, Netlist};
 
@@ -18,9 +16,6 @@ pub use cohort::{CohortLaneEnd, PathCohort};
 pub enum EvalMode {
     /// Pure event-driven: only dirty nodes are evaluated, one at a time.
     Event,
-    /// Pure levelized: any level with a pending event runs its full
-    /// bit-packed instruction tape, 64 gates per word-op.
-    Batch,
     /// Event-driven below the activity threshold, batched above it
     /// (the default: dense propagation waves — reset, clock edges — run
     /// packed, sparse ripples stay event-driven).
@@ -32,14 +27,6 @@ pub enum EvalMode {
     /// any lane spilled out of a cohort) run exactly like [`EvalMode::
     /// Hybrid`]; reports stay bit-identical to event mode.
     Cohort,
-    /// Compiled native evaluation: a `symsim-compile` kernel generated
-    /// from this design settles the whole netlist in straight-line code
-    /// over net-indexed bit planes (see
-    /// [`Simulator::attach_compiled_kernel`]). Settles that the kernel
-    /// cannot express exactly — active forces, tagged-symbol propagation,
-    /// Z-holding gate outputs — fall back to event-driven dispatch, so
-    /// values, traces, and observers stay bit-identical to event mode.
-    Compiled,
 }
 
 impl EvalMode {
@@ -47,10 +34,8 @@ impl EvalMode {
     pub fn name(self) -> &'static str {
         match self {
             EvalMode::Event => "event",
-            EvalMode::Batch => "batch",
             EvalMode::Hybrid => "hybrid",
             EvalMode::Cohort => "cohort",
-            EvalMode::Compiled => "compiled",
         }
     }
 }
@@ -61,12 +46,10 @@ impl std::str::FromStr for EvalMode {
     fn from_str(s: &str) -> Result<EvalMode, String> {
         match s {
             "event" => Ok(EvalMode::Event),
-            "batch" => Ok(EvalMode::Batch),
             "hybrid" => Ok(EvalMode::Hybrid),
             "cohort" => Ok(EvalMode::Cohort),
-            "compiled" => Ok(EvalMode::Compiled),
             other => Err(format!(
-                "expected event, batch, hybrid, cohort, or compiled, got \"{other}\""
+                "expected event, hybrid, or cohort, got \"{other}\""
             )),
         }
     }
@@ -83,13 +66,13 @@ pub struct SimConfig {
     /// Record the evaluation-event trace (used by the baseline-equivalence
     /// regression check of paper §5.0.1).
     pub trace_events: bool,
-    /// Active-region dispatch: event-driven, batched, or hybrid.
+    /// Active-region dispatch: event-driven, hybrid, or cohort.
     /// All modes produce identical values, traces, and observer results;
     /// they differ only in evaluation strategy.
     pub eval_mode: EvalMode,
     /// Hybrid-mode activity threshold in percent: a level runs its batched
     /// tape when at least this share of its nodes have pending events.
-    /// `0` batches any level with a pending event (like [`EvalMode::Batch`]);
+    /// `0` batches every level with a pending event;
     /// `100` requires a fully dirty level.
     pub batch_threshold_pct: u8,
     /// Time settle and its batch/event dispatch paths (nanosecond fields in
@@ -305,8 +288,6 @@ pub struct EngineStats {
     /// Wall time of scalar event-driven drains within settle, ns. Zero
     /// unless [`SimConfig::profile_phases`] is set.
     pub event_eval_ns: u64,
-    /// Full-netlist settle passes run by an attached compiled kernel.
-    pub compiled_evals: u64,
 }
 
 /// The event-driven gate-level simulator.
@@ -345,58 +326,6 @@ pub struct Simulator<'n> {
     subs_start: Vec<u32>,
     subs_list: Vec<PackedSub>,
     maintain_packed: bool,
-    // compiled-kernel state ([`EvalMode::Compiled`] only): val/unk bit
-    // planes mirroring `values` (net n -> plane bit `cpos[n]`; identity
-    // until a kernel supplies its locality-optimized layout), maintained
-    // event-style on every value change and consumed wholesale by the
-    // native kernel; `*_prev` are the diff-sync scratch
-    compiled: Option<Arc<CompiledKernel>>,
-    compiled_segment_nodes: Vec<Vec<u32>>, // kernel segment -> node indices
-    // per-port memo of the last kernel-settle resolution: (decoded address,
-    // memory epoch). While neither changes, the port's data planes and
-    // scalar values still hold the resolved word, so the callback skips the
-    // (possibly O(depth)) re-resolve that event dispatch never pays either
-    compiled_port_cache: Vec<Vec<Option<(Word, u64)>>>,
-    // per-segment early-out state: the dirty-bitmap mask covering every
-    // address net of the segment's ports, the (deduped) memories it reads,
-    // and the sum of their epochs at the last resolve. A settle whose
-    // dirty words miss the mask and whose epoch sum is unchanged can skip
-    // the whole segment — address decode and all — because neither the
-    // addresses nor the contents can have moved
-    compiled_seg_addr_mask: Vec<Vec<u64>>,
-    compiled_seg_mems: Vec<Vec<u32>>,
-    compiled_seg_epoch: Vec<Option<u64>>,
-    // bumped on every mutation of the corresponding `mems` entry (and
-    // wholesale on state loads): invalidates `compiled_port_cache`
-    mem_epochs: Vec<u64>,
-    maintain_cplanes: bool,
-    // net id -> plane bit position, and its inverse: the kernel's plane
-    // layout packs co-changing nets (a chunk's outputs, a bus) into shared
-    // words so the dirty-word gating sees sparse activity
-    cpos: Vec<u32>,
-    cnet: Vec<u32>,
-    cplanes_val: Vec<u64>,
-    cplanes_unk: Vec<u64>,
-    cplanes_prev_val: Vec<u64>,
-    cplanes_prev_unk: Vec<u64>,
-    // dirty-word bitmap over the compiled planes (bit w ⟺ plane word w
-    // changed since the last kernel settle): seeds the kernel's activity
-    // gating, so chunks whose input words are all clean skip themselves
-    cplanes_dirty: Vec<u64>,
-    // plane words holding memory-read data nets: excluded from the
-    // post-kernel diff-sync (the segment callback syncs them exactly,
-    // preserving Z/symbol values the planes fold to X)
-    memdata_mask: Vec<u64>,
-    // net -> driven by a gate (not an input, DFF, or read port)
-    gate_driven: Vec<bool>,
-    // gate-output nets currently holding a value the planes cannot
-    // represent (Z or a tagged symbol, e.g. left behind by a released
-    // force): the kernel would hide their transition back to X, so any
-    // settle with this non-zero falls back to event dispatch
-    inexact_gate_outs: usize,
-    // at least one node scheduled since the last settle (the compiled
-    // path runs the kernel at most once per pending wave)
-    sched_pending: bool,
     // mutable simulation state
     values: Vec<Value>,
     mems: Vec<MemArray>,
@@ -415,7 +344,6 @@ pub struct Simulator<'n> {
     batched_level_evals: u64,
     event_evals: u64,
     forced_writes: u64,
-    compiled_evals: u64,
     dirty_pct_hist: [u64; DIRTY_PCT_BUCKETS],
     // phase-profiler accumulators (ns); written only when
     // `config.profile_phases` — the default hot path takes no timestamps
@@ -542,26 +470,6 @@ impl<'n> Simulator<'n> {
         let mem_count = netlist.memories().len();
         let packed = vec![PackedOp::default(); batches.len() * 4];
         let batch_dirty = vec![DIRTY_SCHED; batches.len()];
-        let maintain_cplanes = config.eval_mode == EvalMode::Compiled;
-        let cwords = if maintain_cplanes {
-            netlist.net_count().div_ceil(64)
-        } else {
-            0
-        };
-        let mut memdata_mask = vec![0u64; cwords];
-        let mut gate_driven = vec![false; if maintain_cplanes { values.len() } else { 0 }];
-        if maintain_cplanes {
-            for m in netlist.memories() {
-                for rp in &m.read_ports {
-                    for &n in &rp.data {
-                        memdata_mask[(n.0 >> 6) as usize] |= 1u64 << (n.0 & 63);
-                    }
-                }
-            }
-            for g in netlist.gates() {
-                gate_driven[g.output.0 as usize] = true;
-            }
-        }
         let mut sim = Simulator {
             netlist,
             config,
@@ -582,40 +490,8 @@ impl<'n> Simulator<'n> {
             batch_dirty,
             subs_start,
             subs_list,
-            // the packed batch-operand caches serve the batched tape;
-            // compiled mode keeps them current too, so its ineligible
-            // settles (forces held, inexact outputs) dispatch at hybrid
-            // speed instead of degrading to pure event evaluation
+            // the packed batch-operand caches serve the batched tape
             maintain_packed: config.eval_mode != EvalMode::Event,
-            compiled: None,
-            compiled_segment_nodes: Vec::new(),
-            compiled_port_cache: Vec::new(),
-            compiled_seg_addr_mask: Vec::new(),
-            compiled_seg_mems: Vec::new(),
-            compiled_seg_epoch: Vec::new(),
-            mem_epochs: vec![0; mem_count],
-            maintain_cplanes,
-            // identity layout until attach_compiled_kernel installs the
-            // kernel's permutation
-            cpos: if maintain_cplanes {
-                (0..values.len() as u32).collect()
-            } else {
-                Vec::new()
-            },
-            cnet: if maintain_cplanes {
-                (0..values.len() as u32).collect()
-            } else {
-                Vec::new()
-            },
-            cplanes_val: vec![0; cwords],
-            cplanes_unk: vec![0; cwords],
-            cplanes_prev_val: vec![0; cwords],
-            cplanes_prev_unk: vec![0; cwords],
-            cplanes_dirty: vec![0; cwords.div_ceil(64)],
-            memdata_mask,
-            gate_driven,
-            inexact_gate_outs: 0,
-            sched_pending: false,
             forced: vec![false; values.len()],
             values,
             mems,
@@ -626,7 +502,6 @@ impl<'n> Simulator<'n> {
             batched_level_evals: 0,
             event_evals: 0,
             forced_writes: 0,
-            compiled_evals: 0,
             dirty_pct_hist: [0; DIRTY_PCT_BUCKETS],
             settle_ns: 0,
             batch_eval_ns: 0,
@@ -645,102 +520,8 @@ impl<'n> Simulator<'n> {
             trace_regions: false,
         };
         sim.rebuild_packed();
-        sim.rebuild_cplanes();
         sim.schedule_all();
         sim
-    }
-
-    /// Attaches a native settle kernel (see `symsim_compile`). Only
-    /// meaningful — and only allowed — under [`EvalMode::Compiled`]; the
-    /// kernel must have been prepared from this simulator's netlist.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the eval mode is not `Compiled` or the kernel's plane
-    /// geometry does not match this design.
-    pub fn attach_compiled_kernel(&mut self, kernel: Arc<CompiledKernel>) {
-        assert!(
-            self.maintain_cplanes,
-            "compiled kernels require EvalMode::Compiled"
-        );
-        assert_eq!(
-            kernel.words(),
-            self.cplanes_val.len(),
-            "kernel was generated for a different design"
-        );
-        // resolve each segment's read ports to this simulator's node
-        // indices once, so the per-settle callback never searches
-        let mut memread_nodes: HashMap<(u32, u32), u32> = HashMap::new();
-        for (i, &node) in self.nodes.iter().enumerate() {
-            if let CombNode::MemRead { mem, port } = node {
-                memread_nodes.insert((mem.0, port as u32), i as u32);
-            }
-        }
-        self.compiled_segment_nodes = kernel
-            .segments()
-            .iter()
-            .map(|seg| {
-                seg.iter()
-                    .map(|r| memread_nodes[&(r.mem, r.port)])
-                    .collect()
-            })
-            .collect();
-        self.compiled_port_cache = kernel
-            .segments()
-            .iter()
-            .map(|seg| vec![None; seg.len()])
-            .collect();
-        // install the kernel's plane layout, then rebuild everything laid
-        // out in plane-bit space: the mem-data mask and the planes
-        // themselves (rebuild_cplanes also marks every word dirty, so the
-        // first kernel settle evaluates everything)
-        assert_eq!(
-            kernel.net_positions().len(),
-            self.values.len(),
-            "kernel layout covers a different net count"
-        );
-        self.cpos.copy_from_slice(kernel.net_positions());
-        for (net, &pos) in kernel.net_positions().iter().enumerate() {
-            self.cnet[pos as usize] = net as u32;
-        }
-        self.memdata_mask.fill(0);
-        for m in self.netlist.memories() {
-            for rp in &m.read_ports {
-                for &n in &rp.data {
-                    let p = self.cpos[n.0 as usize];
-                    self.memdata_mask[(p >> 6) as usize] |= 1u64 << (p & 63);
-                }
-            }
-        }
-        let dwords = self.cplanes_dirty.len();
-        self.compiled_seg_addr_mask = kernel
-            .segments()
-            .iter()
-            .map(|seg| {
-                let mut mask = vec![0u64; dwords];
-                for r in seg {
-                    let rp = &self.netlist.memories()[r.mem as usize].read_ports[r.port as usize];
-                    for &n in &rp.addr {
-                        let w = (self.cpos[n.0 as usize] >> 6) as usize;
-                        mask[w >> 6] |= 1u64 << (w & 63);
-                    }
-                }
-                mask
-            })
-            .collect();
-        self.compiled_seg_mems = kernel
-            .segments()
-            .iter()
-            .map(|seg| {
-                let mut mems: Vec<u32> = seg.iter().map(|r| r.mem).collect();
-                mems.sort_unstable();
-                mems.dedup();
-                mems
-            })
-            .collect();
-        self.compiled_seg_epoch = vec![None; kernel.segments().len()];
-        self.compiled = Some(kernel);
-        self.rebuild_cplanes();
     }
 
     /// The design being simulated.
@@ -857,15 +638,10 @@ impl<'n> Simulator<'n> {
     pub fn force(&mut self, net: NetId, value: Value) {
         self.forces.insert(net.0, value);
         self.forced[net.0 as usize] = true;
-        let old = self.values[net.0 as usize];
-        if old != value {
+        if self.values[net.0 as usize] != value {
             self.values[net.0 as usize] = value;
             if self.maintain_packed {
                 self.update_packed::<false>(net.0, value);
-            }
-            if self.maintain_cplanes {
-                self.update_cplane(net.0, value);
-                self.track_inexact(net.0, old, value);
             }
             self.mark_toggled(net);
             self.schedule_fanout(net);
@@ -879,16 +655,7 @@ impl<'n> Simulator<'n> {
         for n in nets {
             self.forced[n as usize] = false;
             if let Some(node) = self.driver_node[n as usize] {
-                if self.maintain_cplanes {
-                    // recompute immediately: the write path marks the
-                    // released net's plane word, which is what wakes its
-                    // readers in the next kernel settle (the driver's own
-                    // chunk may never wake — its *inputs* are unchanged —
-                    // and a folded-constant driver has no inputs at all)
-                    self.eval_node(node);
-                } else {
-                    self.schedule_node(node);
-                }
+                self.schedule_node(node);
             }
         }
         self.settle();
@@ -905,7 +672,6 @@ impl<'n> Simulator<'n> {
         self.mems[mem_index].set_word(addr, word);
         // an overwrite can remove information from the all-words merge
         self.mem_all_merge[mem_index] = None;
-        self.mem_epochs[mem_index] += 1;
         self.schedule_mem_readers(mem_index);
     }
 
@@ -1004,51 +770,28 @@ impl<'n> Simulator<'n> {
             self.forced[n as usize] = false;
         }
         self.forces.clear();
-        let mp = self.maintain_packed;
-        let mc = self.maintain_cplanes;
-        if mp || mc {
-            // diff against the incoming snapshot and patch only the cache
+        if self.maintain_packed {
+            // diff against the incoming snapshot and patch only the operand
             // bits of nets that actually differ: exploration restores
             // closely-related states, so this is far cheaper than a full
-            // rebuild per fork. Compiled mode maintains both the batch
-            // operand planes (its fallback tapes) and the compiled planes
-            // (plus the inexact-output census).
+            // rebuild per fork
             for (net, (cur, new)) in self.values.iter_mut().zip(&state.values).enumerate() {
                 if *cur != *new {
-                    let old = *cur;
                     *cur = *new;
                     let v = *cur;
-                    // inlined `update_packed`/`update_cplane` are blocked by
-                    // the borrow of `self.values`; patch through disjoint
-                    // fields instead
+                    // an inlined `update_packed` is blocked by the borrow of
+                    // `self.values`; patch through disjoint fields instead
                     let (vb, ub) = plane::encode(v);
                     let sym = matches!(v, Value::Sym(_)) || v == Value::Z;
-                    if mp {
-                        let s = self.subs_start[net] as usize;
-                        let e = self.subs_start[net + 1] as usize;
-                        for k in s..e {
-                            let r = self.subs_list[k];
-                            let m = 1u64 << (r & 63);
-                            let p = &mut self.packed[(r >> 6) as usize];
-                            p.val = p.val & !m | if vb { m } else { 0 };
-                            p.unk = p.unk & !m | if ub { m } else { 0 };
-                            p.sym = p.sym & !m | if sym { m } else { 0 };
-                        }
-                    }
-                    if mc {
-                        let p = self.cpos[net] as usize;
-                        let w = p >> 6;
-                        let m = 1u64 << (p & 63);
-                        self.cplanes_val[w] = self.cplanes_val[w] & !m | if vb { m } else { 0 };
-                        self.cplanes_unk[w] = self.cplanes_unk[w] & !m | if ub { m } else { 0 };
-                        if self.gate_driven[net] {
-                            let was = matches!(old, Value::Sym(_)) || old == Value::Z;
-                            match (was, sym) {
-                                (false, true) => self.inexact_gate_outs += 1,
-                                (true, false) => self.inexact_gate_outs -= 1,
-                                _ => {}
-                            }
-                        }
+                    let s = self.subs_start[net] as usize;
+                    let e = self.subs_start[net + 1] as usize;
+                    for k in s..e {
+                        let r = self.subs_list[k];
+                        let m = 1u64 << (r & 63);
+                        let p = &mut self.packed[(r >> 6) as usize];
+                        p.val = p.val & !m | if vb { m } else { 0 };
+                        p.unk = p.unk & !m | if ub { m } else { 0 };
+                        p.sym = p.sym & !m | if sym { m } else { 0 };
                     }
                 }
             }
@@ -1058,22 +801,11 @@ impl<'n> Simulator<'n> {
         self.mems.clone_from(&state.mems);
         self.cycle = state.cycle;
         self.mem_all_merge.iter_mut().for_each(|m| *m = None);
-        self.mem_epochs.iter_mut().for_each(|e| *e += 1);
         // snapshots are quiescent; nothing to settle
         for bucket in &mut self.dirty {
             bucket.clear();
         }
         self.in_queue.iter_mut().for_each(|b| *b = false);
-        self.sched_pending = false;
-        if mc {
-            // the planes now exactly encode a *settled* snapshot (saved
-            // post-settle, force-free): every kernel chunk would recompute
-            // the value its output word already holds, so the rewind diff
-            // — however wide — leaves nothing for the kernel to do. Clear
-            // rather than mark, and let the post-restore stimuli (clock
-            // edge, forces, injected values) re-seed the gating.
-            self.cplanes_dirty.fill(0);
-        }
     }
 
     // ---- event loop ----
@@ -1087,7 +819,6 @@ impl<'n> Simulator<'n> {
     fn schedule_node(&mut self, idx: u32) {
         if !self.in_queue[idx as usize] {
             self.in_queue[idx as usize] = true;
-            self.sched_pending = true;
             self.dirty[self.level[idx as usize] as usize].push(idx);
             // a scheduled gate makes its batch stale, whatever the cause
             // (operand change, force release, explicit re-schedule)
@@ -1155,15 +886,10 @@ impl<'n> Simulator<'n> {
         } else {
             value
         };
-        let old = self.values[net.0 as usize];
-        if old != value {
+        if self.values[net.0 as usize] != value {
             self.values[net.0 as usize] = value;
             if self.maintain_packed {
                 self.update_packed::<false>(net.0, value);
-            }
-            if self.maintain_cplanes {
-                self.update_cplane(net.0, value);
-                self.track_inexact(net.0, old, value);
             }
             self.mark_toggled(net);
             self.schedule_fanout(net);
@@ -1202,67 +928,6 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Patches the compiled-plane bit of `net` (compiled mode only).
-    /// Z and tagged symbols fold to the unknown encoding, exactly like
-    /// `plane::encode`; [`Simulator::track_inexact`] keeps the fallback
-    /// predicate aware of the folding.
-    #[inline]
-    fn update_cplane(&mut self, net: u32, v: Value) {
-        let (vb, ub) = plane::encode(v);
-        let p = self.cpos[net as usize];
-        let w = (p >> 6) as usize;
-        let m = 1u64 << (p & 63);
-        self.cplanes_val[w] = self.cplanes_val[w] & !m | if vb { m } else { 0 };
-        self.cplanes_unk[w] = self.cplanes_unk[w] & !m | if ub { m } else { 0 };
-        self.cplanes_dirty[w >> 6] |= 1u64 << (w & 63);
-    }
-
-    /// Maintains [`Simulator::inexact_gate_outs`] across a value change on
-    /// `net` (compiled mode only): gate outputs holding Z or a symbol make
-    /// the planes lossy, which the compiled settle must know about.
-    #[inline]
-    fn track_inexact(&mut self, net: u32, old: Value, new: Value) {
-        if !self.gate_driven[net as usize] {
-            return;
-        }
-        let was = matches!(old, Value::Sym(_)) || old == Value::Z;
-        let is = matches!(new, Value::Sym(_)) || new == Value::Z;
-        match (was, is) {
-            (false, true) => self.inexact_gate_outs += 1,
-            (true, false) => self.inexact_gate_outs -= 1,
-            _ => {}
-        }
-    }
-
-    /// Rebuilds the compiled planes and the inexact-output census from the
-    /// scalar store (construction and full-state loads).
-    fn rebuild_cplanes(&mut self) {
-        if !self.maintain_cplanes {
-            return;
-        }
-        self.cplanes_val.fill(0);
-        self.cplanes_unk.fill(0);
-        // nothing carries over: the next kernel settle must run everything
-        self.cplanes_dirty.fill(!0);
-        self.inexact_gate_outs = 0;
-        for net in 0..self.values.len() {
-            let v = self.values[net];
-            if v != Value::X {
-                self.update_cplane(net as u32, v);
-            }
-            if (matches!(v, Value::Sym(_)) || v == Value::Z) && self.gate_driven[net] {
-                self.inexact_gate_outs += 1;
-            }
-        }
-        // all-X nets still need their unk bits
-        for net in 0..self.values.len() {
-            if self.values[net] == Value::X {
-                let p = self.cpos[net];
-                self.cplanes_unk[(p >> 6) as usize] |= 1u64 << (p & 63);
-            }
-        }
-    }
-
     /// Rebuilds every batch operand cache from the scalar store
     /// (construction).
     fn rebuild_packed(&mut self) {
@@ -1295,7 +960,6 @@ impl<'n> Simulator<'n> {
             settle_ns: self.settle_ns,
             batch_eval_ns: self.batch_eval_ns,
             event_eval_ns: self.event_eval_ns,
-            compiled_evals: self.compiled_evals,
         }
     }
 
@@ -1319,24 +983,6 @@ impl<'n> Simulator<'n> {
     }
 
     fn settle_inner(&mut self) -> usize {
-        if self.config.eval_mode == EvalMode::Compiled {
-            if !self.sched_pending {
-                return 0;
-            }
-            // the kernel can only run when the planes are an exact model:
-            // no forces, no gate outputs holding Z or a tagged symbol, and
-            // the anonymous policy (gate inputs then fold Z/Sym to X just
-            // like the planes do); otherwise this settle falls back to the
-            // hybrid interpreter below, whose scalar and batched writebacks
-            // both keep the compiled planes in sync
-            if self.compiled.is_some()
-                && self.forces.is_empty()
-                && self.config.policy == PropagationPolicy::Anonymous
-                && self.inexact_gate_outs == 0
-            {
-                return self.settle_compiled();
-            }
-        }
         let mut evals = 0;
         let profile = self.config.profile_phases;
         let batch_ok = self.config.eval_mode != EvalMode::Event;
@@ -1358,8 +1004,7 @@ impl<'n> Simulator<'n> {
             // batch bits alone, so the bucket under-counts this level
             let use_batch = batch_ok
                 && tape.batch_count > 0
-                && (self.config.eval_mode == EvalMode::Batch
-                    || stale & DIRTY_LEAN != 0
+                && (stale & DIRTY_LEAN != 0
                     || self.dirty[lvl].len() * 100
                         >= tape.node_count * usize::from(self.config.batch_threshold_pct));
             if stale != 0 || !self.dirty[lvl].is_empty() {
@@ -1398,196 +1043,7 @@ impl<'n> Simulator<'n> {
                 }
             }
         }
-        self.sched_pending = false;
-        if self.maintain_cplanes {
-            // this interpreted settle just reached quiescence, and the
-            // planes mirror the scalar store on every write: the planes now
-            // encode a *settled* state (under the currently-held forces, if
-            // any), so every dirty mark accumulated so far names a change
-            // whose downstream consequences are already in the planes — a
-            // kernel settle would recompute identical words. Drop the marks;
-            // [`Simulator::release_all`] re-evaluates released drivers
-            // itself, which re-seeds the gating with the real divergence.
-            self.cplanes_dirty.fill(0);
-        }
         evals
-    }
-
-    /// Settles the whole combinational DAG with the attached native
-    /// kernel: snapshot the planes, run the straight-line settle (resolving
-    /// memory-read segments through [`Simulator::resolve_segment`]), then
-    /// diff the planes against the snapshot and sync only the nets that
-    /// changed back into the scalar store — with the same trace and
-    /// observer bookkeeping as per-node evaluation.
-    fn settle_compiled(&mut self) -> usize {
-        let kernel = self.compiled.clone().expect("eligibility checked");
-        self.cplanes_prev_val.clone_from(&self.cplanes_val);
-        self.cplanes_prev_unk.clone_from(&self.cplanes_unk);
-        let mut pv = std::mem::take(&mut self.cplanes_val);
-        let mut pu = std::mem::take(&mut self.cplanes_unk);
-        // seed the activity gating with everything that changed since the
-        // last kernel settle; the kernel and the segment callbacks add the
-        // words they change during the pass
-        let mut dw = std::mem::take(&mut self.cplanes_dirty);
-        let mut evals = 0usize;
-        let t = self.config.profile_phases.then(std::time::Instant::now);
-        {
-            let kref = &kernel;
-            kernel.run(&mut pv, &mut pu, &mut dw, &mut |seg, pv, pu, dw| {
-                evals += self.resolve_segment(kref, seg as usize, pv, pu, dw);
-            });
-        }
-        if let Some(t) = t {
-            self.batch_eval_ns += t.elapsed().as_nanos() as u64;
-        }
-        self.cplanes_val = pv;
-        self.cplanes_unk = pu;
-        // the pass consumed every mark (skipped chunks saw clean inputs,
-        // running chunks recomputed from settled planes): start clean
-        dw.fill(0);
-        self.cplanes_dirty = dw;
-
-        // memory-read data nets were synced exactly by the segment
-        // callbacks (they can legitimately hold Z or tagged symbols the
-        // planes cannot represent); everything else that changed is a
-        // gate output, whose plane encoding is exact here
-        let trace = self.config.trace_events;
-        for w in 0..self.cplanes_val.len() {
-            let mut m = ((self.cplanes_val[w] ^ self.cplanes_prev_val[w])
-                | (self.cplanes_unk[w] ^ self.cplanes_prev_unk[w]))
-                & !self.memdata_mask[w];
-            while m != 0 {
-                let b = m.trailing_zeros();
-                m &= m - 1;
-                // plane bit -> net id through the kernel's layout
-                let net = self.cnet[w * 64 + b as usize];
-                let v = if self.cplanes_unk[w] >> b & 1 != 0 {
-                    Value::X
-                } else if self.cplanes_val[w] >> b & 1 != 0 {
-                    Value::ONE
-                } else {
-                    Value::ZERO
-                };
-                if self.values[net as usize] != v {
-                    if trace {
-                        if let Some(node) = self.driver_node[net as usize] {
-                            self.event_trace.push((self.cycle, node));
-                        }
-                    }
-                    self.values[net as usize] = v;
-                    // keep the batch operand planes exact so a later
-                    // ineligible settle can dispatch its tapes (the lean
-                    // dirty marks this sets are cleared below — the kernel
-                    // already settled every downstream gate)
-                    self.update_packed::<true>(net, v);
-                    self.mark_toggled(NetId(net));
-                    evals += 1;
-                }
-            }
-        }
-
-        // the kernel settled everything: drain the queue without evaluating
-        for lvl in 0..self.dirty.len() {
-            while let Some(idx) = self.dirty[lvl].pop() {
-                self.in_queue[idx as usize] = false;
-            }
-        }
-        self.batch_dirty.fill(0);
-        self.sched_pending = false;
-        self.compiled_evals += 1;
-        evals
-    }
-
-    /// Resolves one memory-read level for the running kernel: decode each
-    /// port's address from the planes (lower-level gate outputs are settled
-    /// there, not yet in the scalar store), resolve it exactly — including
-    /// the conservative unknown-address merge — and write the data back to
-    /// both the scalar store and the planes the higher levels consume.
-    fn resolve_segment(
-        &mut self,
-        kernel: &CompiledKernel,
-        seg: usize,
-        pv: &mut [u64],
-        pu: &mut [u64],
-        dw: &mut [u64],
-    ) -> usize {
-        let nl: &'n Netlist = self.netlist;
-        let refs = &kernel.segments()[seg];
-        // segment-level early-out: when no address net's plane word is dirty
-        // and every backing memory's epoch matches the memo, each port below
-        // would decode the same address against the same contents and hit its
-        // per-port cache — so skip the whole segment, address decode and all
-        let eps: u64 = self.compiled_seg_mems[seg]
-            .iter()
-            .map(|&m| self.mem_epochs[m as usize])
-            .sum();
-        let addr_dirty = self.compiled_seg_addr_mask[seg]
-            .iter()
-            .zip(dw.iter())
-            .any(|(m, d)| m & d != 0);
-        if !addr_dirty && self.compiled_seg_epoch[seg] == Some(eps) {
-            return 0;
-        }
-        let mut resolved = 0;
-        for (k, r) in refs.iter().enumerate() {
-            let rp = &nl.memories()[r.mem as usize].read_ports[r.port as usize];
-            let addr: Word = rp
-                .addr
-                .iter()
-                .map(|&n| {
-                    let p = self.cpos[n.0 as usize];
-                    let w = (p >> 6) as usize;
-                    let m = 1u64 << (p & 63);
-                    if pu[w] & m != 0 {
-                        Value::X
-                    } else if pv[w] & m != 0 {
-                        Value::ONE
-                    } else {
-                        Value::ZERO
-                    }
-                })
-                .collect();
-            // same address against unchanged memory contents resolves to the
-            // same word the planes and scalar store already hold — skip the
-            // resolve, exactly as event dispatch (no event) would have
-            let epoch = self.mem_epochs[r.mem as usize];
-            if let Some((ca, ce)) = &self.compiled_port_cache[seg][k] {
-                if *ce == epoch && *ca == addr {
-                    continue;
-                }
-            }
-            let word = self.mem_read_resolve(r.mem as usize, &addr);
-            let mut changed = false;
-            for (i, &n) in rp.data.iter().enumerate() {
-                let v = word.bit(i);
-                let (vb, ub) = plane::encode(v);
-                let p = self.cpos[n.0 as usize];
-                let w = (p >> 6) as usize;
-                let m = 1u64 << (p & 63);
-                let (ov, ou) = (pv[w], pu[w]);
-                pv[w] = pv[w] & !m | if vb { m } else { 0 };
-                pu[w] = pu[w] & !m | if ub { m } else { 0 };
-                if (pv[w] ^ ov) | (pu[w] ^ ou) != 0 {
-                    // higher levels must see the data-net activity
-                    dw[w >> 6] |= 1u64 << (w & 63);
-                }
-                if self.values[n.0 as usize] != v {
-                    changed = true;
-                    self.values[n.0 as usize] = v;
-                    self.update_packed::<true>(n.0, v);
-                    self.mark_toggled(n);
-                }
-            }
-            self.compiled_port_cache[seg][k] = Some((addr, epoch));
-            if changed && self.config.trace_events {
-                self.event_trace
-                    .push((self.cycle, self.compiled_segment_nodes[seg][k]));
-            }
-            self.event_evals += 1;
-            resolved += 1;
-        }
-        self.compiled_seg_epoch[seg] = Some(eps);
-        resolved
     }
 
     /// Runs one level's compiled tape: drain the dirty bucket (scalar-eval
@@ -1684,8 +1140,7 @@ impl<'n> Simulator<'n> {
                 // scalar path's `set_value(.., from_eval = true)`
                 v = self.forces[&net];
             }
-            let old = self.values[net as usize];
-            if old != v {
+            if self.values[net as usize] != v {
                 if trace {
                     let node = self.batches[bi].node[i as usize];
                     self.event_trace.push((self.cycle, node));
@@ -1695,10 +1150,6 @@ impl<'n> Simulator<'n> {
                 // `update_packed`, so gate fanout needs no per-node
                 // scheduling — only memory-read readers stay event-driven
                 self.update_packed::<true>(net, v);
-                if self.maintain_cplanes {
-                    self.update_cplane(net, v);
-                    self.track_inexact(net, old, v);
-                }
                 self.mark_toggled(NetId(net));
                 let ms = self.memread_fanout_start[net as usize] as usize;
                 let me = self.memread_fanout_start[net as usize + 1] as usize;
@@ -1808,7 +1259,6 @@ impl<'n> Simulator<'n> {
         if we == Value::ZERO {
             return;
         }
-        self.mem_epochs[mem_index] += 1;
         let certain = we == Value::ONE;
         let depth = self.mems[mem_index].depth();
         match enumerate_addresses(addr, depth, self.config.max_addr_enum_bits) {

@@ -45,10 +45,20 @@ fn config(mode: EvalMode, trace: bool) -> SimConfig {
     }
 }
 
-/// Drives the same stimulus (including `X` injections mid-run) in the given
-/// mode and returns the final quiescent snapshot plus the event trace.
-fn run_datapath(nl: &Netlist, mode: EvalMode, trace: bool) -> (SimState, Vec<(u64, u32)>) {
-    let mut sim = Simulator::new(nl, config(mode, trace));
+/// Hybrid at a 0% activity threshold: every level with a pending event
+/// runs its batched tape, so the packed planes carry the whole settle.
+fn batched(trace: bool) -> SimConfig {
+    SimConfig {
+        batch_threshold_pct: 0,
+        ..config(EvalMode::Hybrid, trace)
+    }
+}
+
+/// Drives the same stimulus (including `X` injections mid-run) under the
+/// given configuration and returns the final quiescent snapshot plus the
+/// event trace.
+fn run_datapath(nl: &Netlist, config: SimConfig) -> (SimState, Vec<(u64, u32)>) {
+    let mut sim = Simulator::new(nl, config);
     let a = sim.find_bus("a", 8).unwrap();
     let sel = nl.find_net("sel").unwrap();
     sim.poke_bus(&a, &Word::from_u64(0x5a, 8));
@@ -75,13 +85,16 @@ fn run_datapath(nl: &Netlist, mode: EvalMode, trace: bool) -> (SimState, Vec<(u6
 #[test]
 fn all_modes_reach_identical_states() {
     let nl = datapath();
-    let (event, _) = run_datapath(&nl, EvalMode::Event, false);
-    let (batch, _) = run_datapath(&nl, EvalMode::Batch, false);
-    let (hybrid, _) = run_datapath(&nl, EvalMode::Hybrid, false);
+    let (event, _) = run_datapath(&nl, config(EvalMode::Event, false));
+    let (batch, _) = run_datapath(&nl, batched(false));
+    let (hybrid, _) = run_datapath(&nl, config(EvalMode::Hybrid, false));
     // at the Simulator level, cohort mode's scalar settles dispatch
     // exactly like hybrid (lane packing happens in the explorer)
-    let (cohort, _) = run_datapath(&nl, EvalMode::Cohort, false);
-    assert_eq!(event, batch, "batch mode diverged from event mode");
+    let (cohort, _) = run_datapath(&nl, config(EvalMode::Cohort, false));
+    assert_eq!(
+        event, batch,
+        "all-batched dispatch diverged from event mode"
+    );
     assert_eq!(event, hybrid, "hybrid mode diverged from event mode");
     assert_eq!(event, cohort, "cohort mode diverged from event mode");
 }
@@ -89,8 +102,8 @@ fn all_modes_reach_identical_states() {
 #[test]
 fn event_traces_identical_across_modes() {
     let nl = datapath();
-    let (_, mut ev) = run_datapath(&nl, EvalMode::Event, true);
-    let (_, mut ba) = run_datapath(&nl, EvalMode::Batch, true);
+    let (_, mut ev) = run_datapath(&nl, config(EvalMode::Event, true));
+    let (_, mut ba) = run_datapath(&nl, batched(true));
     assert!(!ev.is_empty(), "stimulus must produce events");
     // within a cycle the evaluation *order* is a scheduling artifact (LIFO
     // drain vs tape order); the set of changed nodes per cycle must match
@@ -102,8 +115,8 @@ fn event_traces_identical_across_modes() {
 #[test]
 fn no_trace_pushes_when_tracing_off() {
     let nl = datapath();
-    let (_, ev) = run_datapath(&nl, EvalMode::Event, false);
-    let (_, ba) = run_datapath(&nl, EvalMode::Batch, false);
+    let (_, ev) = run_datapath(&nl, config(EvalMode::Event, false));
+    let (_, ba) = run_datapath(&nl, batched(false));
     assert!(ev.is_empty());
     assert!(ba.is_empty());
 }
@@ -111,15 +124,15 @@ fn no_trace_pushes_when_tracing_off() {
 #[test]
 fn batch_mode_actually_batches() {
     let nl = datapath();
-    let mut sim = Simulator::new(&nl, config(EvalMode::Batch, false));
+    let mut sim = Simulator::new(&nl, batched(false));
     sim.settle();
-    let (batched, _) = sim.eval_stats();
-    assert!(batched > 0, "batch mode never ran a level tape");
+    let (tapes, _) = sim.eval_stats();
+    assert!(tapes > 0, "all-batched dispatch never ran a level tape");
 
     let mut sim = Simulator::new(&nl, config(EvalMode::Event, false));
     sim.settle();
-    let (batched, scalar) = sim.eval_stats();
-    assert_eq!(batched, 0, "event mode must not run tapes");
+    let (tapes, scalar) = sim.eval_stats();
+    assert_eq!(tapes, 0, "event mode must not run tapes");
     assert!(scalar > 0);
 }
 
@@ -135,18 +148,17 @@ fn tagged_symbols_fall_back_to_scalar_lanes() {
     b.output("y", &symsim_netlist::Bus::from_nets(vec![y]));
     b.output("z", &symsim_netlist::Bus::from_nets(vec![z]));
     let nl = b.finish().unwrap();
-    for mode in [
-        EvalMode::Event,
-        EvalMode::Batch,
-        EvalMode::Hybrid,
-        EvalMode::Cohort,
+    for base in [
+        config(EvalMode::Event, false),
+        batched(false),
+        config(EvalMode::Hybrid, false),
+        config(EvalMode::Cohort, false),
     ] {
         let mut sim = Simulator::new(
             &nl,
             SimConfig {
                 policy: PropagationPolicy::Tagged,
-                eval_mode: mode,
-                ..SimConfig::default()
+                ..base
             },
         );
         sim.poke(nl.find_net("a").unwrap(), Value::symbol(5));
@@ -154,14 +166,16 @@ fn tagged_symbols_fall_back_to_scalar_lanes() {
         assert_eq!(
             sim.read_net_by_name("y"),
             Some(Value::ZERO),
-            "{}: s^s must simplify to 0 under the Tagged policy",
-            mode.name()
+            "{} at {}%: s^s must simplify to 0 under the Tagged policy",
+            base.eval_mode.name(),
+            base.batch_threshold_pct
         );
         assert_eq!(
             sim.read_net_by_name("z"),
             Some(Value::ZERO),
-            "{}: 0 & !s must be 0",
-            mode.name()
+            "{} at {}%: 0 & !s must be 0",
+            base.eval_mode.name(),
+            base.batch_threshold_pct
         );
     }
 }
@@ -171,7 +185,7 @@ fn snapshot_round_trip_preserves_batch_state() {
     // load_state must rebuild the packed planes: otherwise a batched settle
     // after a restore would read stale bits
     let nl = datapath();
-    let mut sim = Simulator::new(&nl, config(EvalMode::Batch, false));
+    let mut sim = Simulator::new(&nl, batched(false));
     let a = sim.find_bus("a", 8).unwrap();
     sim.poke_bus(&a, &Word::from_u64(0x33, 8));
     sim.poke(nl.find_net("sel").unwrap(), Value::ZERO);
@@ -189,7 +203,7 @@ fn snapshot_round_trip_preserves_batch_state() {
     }
     let replay = sim.save_state();
 
-    let mut fresh = Simulator::new(&nl, config(EvalMode::Batch, false));
+    let mut fresh = Simulator::new(&nl, batched(false));
     let a = fresh.find_bus("a", 8).unwrap();
     fresh.poke_bus(&a, &Word::from_u64(0x33, 8));
     fresh.poke(nl.find_net("sel").unwrap(), Value::ZERO);

@@ -103,66 +103,3 @@ fn cohort_mode_reproduces_event_mode_results() {
         );
     }
 }
-
-#[test]
-fn compiled_mode_reproduces_event_mode_results() {
-    for (kind, bench) in PAIRS {
-        let (event, _) = run(kind, bench, EvalMode::Event, 1);
-        let (compiled, reg) = run(kind, bench, EvalMode::Compiled, 1);
-        // without a toolchain the run degrades to hybrid — still identical
-        // results, but the kernel assertions below would be vacuous
-        let native = compiled.eval_mode == "compiled";
-        let ctx = format!("{}/{bench} x1 (compiled)", kind.name());
-        assert_eq!(
-            event.paths_created, compiled.paths_created,
-            "{ctx}: created"
-        );
-        assert_eq!(
-            event.paths_skipped, compiled.paths_skipped,
-            "{ctx}: skipped"
-        );
-        assert_eq!(
-            event.paths_finished, compiled.paths_finished,
-            "{ctx}: finished"
-        );
-        assert_eq!(
-            event.paths_simulated, compiled.paths_simulated,
-            "{ctx}: simulated"
-        );
-        assert_eq!(
-            event.simulated_cycles, compiled.simulated_cycles,
-            "{ctx}: cycles"
-        );
-        assert_eq!(
-            event.metrics.counter("csm_widenings"),
-            compiled.metrics.counter("csm_widenings"),
-            "{ctx}: csm_widenings"
-        );
-        assert_eq!(
-            event.exercisable_gates, compiled.exercisable_gates,
-            "{ctx}: exercisable gates"
-        );
-        if native {
-            // the identity must not be vacuous: the native kernel ran
-            assert!(
-                reg.counter_total(CounterId::CompiledEvals) > 0,
-                "{ctx}: kernel never ran"
-            );
-            assert_eq!(compiled.eval_mode, "compiled", "{ctx}: eval_mode");
-        } else {
-            assert_eq!(compiled.eval_mode, "hybrid", "{ctx}: fallback eval_mode");
-        }
-
-        let (event4, _) = run(kind, bench, EvalMode::Event, 4);
-        let (compiled4, _) = run(kind, bench, EvalMode::Compiled, 4);
-        let ctx = format!("{}/{bench} x4 (compiled)", kind.name());
-        assert_eq!(
-            event4.exercisable_gates, compiled4.exercisable_gates,
-            "{ctx}: exercisable gates"
-        );
-        assert_eq!(
-            event4.total_gates, compiled4.total_gates,
-            "{ctx}: total gates"
-        );
-    }
-}

@@ -4,7 +4,7 @@
 //! registry snapshot, and any drift (a path counted in one place but not
 //! the other, cycles double-counted by a worker) is a bug.
 //!
-//! Runs two (cpu, benchmark) pairs through all five evaluation modes.
+//! Runs two (cpu, benchmark) pairs through all three evaluation modes.
 
 use std::sync::Arc;
 
@@ -14,13 +14,7 @@ use symsim_obs::{CounterId, GaugeId, MetricsRegistry};
 use symsim_sim::{EvalMode, SimConfig};
 
 const PAIRS: [(CpuKind, &str); 2] = [(CpuKind::Omsp16, "div"), (CpuKind::Bm32, "insort")];
-const MODES: [EvalMode; 5] = [
-    EvalMode::Event,
-    EvalMode::Batch,
-    EvalMode::Hybrid,
-    EvalMode::Cohort,
-    EvalMode::Compiled,
-];
+const MODES: [EvalMode; 3] = [EvalMode::Event, EvalMode::Hybrid, EvalMode::Cohort];
 
 #[test]
 fn registry_counters_match_report_fields_across_eval_modes() {
@@ -87,11 +81,6 @@ fn registry_counters_match_report_fields_across_eval_modes() {
                 report.event_evals,
                 "{ctx}: event_evals"
             );
-            assert_eq!(
-                registry.counter_total(CounterId::CompiledEvals),
-                report.compiled_evals,
-                "{ctx}: compiled_evals"
-            );
             match mode {
                 EvalMode::Event => assert_eq!(
                     report.batched_level_evals, 0,
@@ -99,25 +88,10 @@ fn registry_counters_match_report_fields_across_eval_modes() {
                 ),
                 // cohort mode's scalar segments (the root, spilled lanes)
                 // dispatch exactly like hybrid
-                EvalMode::Batch | EvalMode::Hybrid | EvalMode::Cohort => assert!(
+                EvalMode::Hybrid | EvalMode::Cohort => assert!(
                     report.batched_level_evals > 0,
                     "{ctx}: batched dispatch never engaged"
                 ),
-                // a compiled run either uses the native kernel (level tapes
-                // only for the force-held settles the kernel cannot express)
-                // or degraded to hybrid on this machine; `eval_mode` must
-                // disclose which
-                EvalMode::Compiled => {
-                    if report.eval_mode == "compiled" {
-                        assert!(report.compiled_evals > 0, "{ctx}: native kernel never ran");
-                    } else {
-                        assert_eq!(report.eval_mode, "hybrid", "{ctx}: fallback mode");
-                        assert_eq!(
-                            report.compiled_evals, 0,
-                            "{ctx}: fallback must not count kernel runs"
-                        );
-                    }
-                }
             }
             if mode == EvalMode::Cohort {
                 assert!(

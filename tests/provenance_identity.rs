@@ -1,6 +1,6 @@
 //! Cross-mode provenance identity: first-exercise attribution must name
 //! the *same winners* regardless of how the settle work was evaluated.
-//! Event, cohort, and compiled mode walk the same exploration tree, so
+//! Event, hybrid, and cohort mode walk the same exploration tree, so
 //! with one worker the winning `(net, path, cycle)` triples must match
 //! bit-for-bit — the attribution hook sits on `mark_toggled`, and the
 //! eval modes may only change how fast values arrive, never which path
@@ -73,7 +73,7 @@ fn winners_are_identical_across_eval_modes() {
             "{}/{bench}: no nets attributed",
             kind.name()
         );
-        for mode in [EvalMode::Cohort, EvalMode::Compiled] {
+        for mode in [EvalMode::Hybrid, EvalMode::Cohort] {
             let other = run(kind, bench, mode, 1);
             let ctx = format!("{}/{bench} x1 ({})", kind.name(), mode.name());
             assert_eq!(
@@ -102,7 +102,7 @@ fn attributed_net_set_is_schedule_independent() {
         // attributed net set is the converged toggle set and must agree
         let event = run(kind, bench, EvalMode::Event, 4);
         let reference = net_set(&event);
-        for mode in [EvalMode::Cohort, EvalMode::Compiled] {
+        for mode in [EvalMode::Hybrid, EvalMode::Cohort] {
             let other = run(kind, bench, mode, 4);
             let ctx = format!("{}/{bench} x4 ({})", kind.name(), mode.name());
             assert_eq!(

@@ -1,13 +1,15 @@
 //! Persistent run ledger, end to end on real co-analysis runs: append →
 //! parse round-trip losslessness, the diff policy (self-diff clean,
-//! synthetic slowdown flagged, verdict drift fatal), and verdict-digest
-//! stability across every evaluation mode on a tier-1 pair.
+//! synthetic slowdown flagged, verdict drift fatal), verdict-digest
+//! stability across every evaluation mode on a tier-1 pair, and run
+//! identity pinned to the blessed CI baseline.
 
 use std::path::PathBuf;
 
 use symsim_bench::{run_experiment, CpuKind};
 use symsim_core::CoAnalysisConfig;
 use symsim_obs::ledger::{self, DiffOpts, LedgerRecord};
+use symsim_obs::JsonValue;
 use symsim_sim::{EvalMode, SimConfig};
 
 fn record(kind: CpuKind, bench: &str, mode: EvalMode) -> LedgerRecord {
@@ -29,14 +31,14 @@ fn record(kind: CpuKind, bench: &str, mode: EvalMode) -> LedgerRecord {
     )
 }
 
-/// The digest is a function of the verdict alone: event, hybrid, cohort,
-/// and compiled runs of the same pair must produce the identical digest
+/// The digest is a function of the verdict alone: event, hybrid, and
+/// cohort runs of the same pair must produce the identical digest
 /// (they have different config fingerprints — they are different runs —
 /// but the exercisable-gate set may never move).
 #[test]
 fn verdict_digest_is_stable_across_eval_modes() {
     let event = record(CpuKind::Omsp16, "div", EvalMode::Event);
-    for mode in [EvalMode::Hybrid, EvalMode::Cohort, EvalMode::Compiled] {
+    for mode in [EvalMode::Hybrid, EvalMode::Cohort] {
         let other = record(CpuKind::Omsp16, "div", mode);
         assert_eq!(
             event.verdict_digest,
@@ -54,6 +56,38 @@ fn verdict_digest_is_stable_across_eval_modes() {
     let other = record(CpuKind::Dr5, "binsearch", EvalMode::Event);
     assert_ne!(event.verdict_digest, other.verdict_digest);
     assert_ne!(event.fingerprint, other.fingerprint);
+}
+
+/// A default-config omsp16/div run must reproduce the design, program, and
+/// run-identity hashes and the verdict digest recorded in the blessed CI
+/// baseline. Without this pin a changed hash would only surface as a
+/// fingerprint mismatch in the CI perf gate.
+#[test]
+fn run_identity_matches_the_blessed_baseline() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci/baseline-ledger.ndjson");
+    let text = std::fs::read_to_string(&path).expect("read the CI baseline ledger");
+    let blessed = text
+        .lines()
+        .map(|line| JsonValue::parse(line).expect("baseline record is JSON"))
+        .find(|v| v.get("label").and_then(JsonValue::as_str) == Some("omsp16/div"))
+        .expect("baseline holds an omsp16/div record");
+    let field = |key: &str| {
+        blessed
+            .get(key)
+            .and_then(JsonValue::as_str)
+            .unwrap_or_else(|| panic!("baseline record lacks {key:?}"))
+            .to_string()
+    };
+    let run = record(CpuKind::Omsp16, "div", EvalMode::default());
+    assert_eq!(run.config, field("config"), "config string");
+    assert_eq!(run.design_hash, field("design_hash"), "design hash");
+    assert_eq!(run.program_hash, field("program_hash"), "program hash");
+    assert_eq!(run.fingerprint, field("fingerprint"), "run fingerprint");
+    assert_eq!(
+        run.verdict_digest,
+        field("verdict_digest"),
+        "verdict digest"
+    );
 }
 
 #[test]
