@@ -27,6 +27,23 @@ impl Args {
         Ok(out)
     }
 
+    /// Fails naming the first flag (in name order) that appears in none of
+    /// the `known` space-separated lists, so a stale or misspelled flag is
+    /// never silently ignored.
+    pub fn reject_unknown(&self, cmd: &str, known: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .flags
+            .keys()
+            .map(String::as_str)
+            .filter(|f| !known.iter().any(|list| list.split(' ').any(|k| k == *f)))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            None => Ok(()),
+            Some(f) => Err(format!("{cmd}: unknown flag --{f}")),
+        }
+    }
+
     pub fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }

@@ -33,7 +33,7 @@ usage:
                   [--workers N] [--max-cycles N]
                   [--max-paths N] [--profile-out profile.txt] [--power yes]
                   [--tagged yes] [--eval-mode event|hybrid|cohort]
-                  [--batch-threshold PCT] [--attribution yes]
+                  [--attribution yes]
   symsim explain  <design.v> ... (same flags as analyze) [--net <net>]
                   [--witness-out witness.json]
                   (run with first-exercise attribution and print the chosen
@@ -73,6 +73,7 @@ usage:
                                             predecessors; exits nonzero on
                                             verdict drift
 
+a flag a command does not take is an error.
 every command also accepts the observability flags:
   --log-level error|warn|info|debug|trace   (default info)
   --log-format pretty|json                  (default pretty; json makes
@@ -101,22 +102,43 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     }
     let args = Args::parse(rest)?;
     init_obs(&args)?;
-    match cmd.as_str() {
-        "stats" => stats(&args),
-        "lint" => lint_cmd(&args),
-        "dot" => dot_cmd(&args),
-        "analyze" => analyze(&args),
-        "explain" => explain(&args),
-        "replay" => replay_cmd(&args),
-        "bespoke" => bespoke(&args),
-        "simulate" => simulate(&args),
-        "fault" => fault_cmd(&args),
-        "convert" => convert(&args),
-        "trace" => crate::trace_cmd::trace_cmd(&args),
-        "runs" => crate::runs_cmd::runs_cmd(&args),
-        other => Err(format!("unknown command \"{other}\"\n{USAGE}")),
-    }
+    type Command = fn(&Args) -> Result<(), String>;
+    let (run, flags): (Command, &[&str]) = match cmd.as_str() {
+        "stats" => (stats, &[]),
+        "lint" => (lint_cmd, &[]),
+        "dot" => (dot_cmd, &["max-gates profile out"]),
+        "analyze" => (
+            analyze,
+            &[
+                SETUP_FLAGS,
+                COANALYSIS_FLAGS,
+                "attribution metrics-out profile-out",
+            ],
+        ),
+        "explain" => (explain, &[SETUP_FLAGS, COANALYSIS_FLAGS, "net witness-out"]),
+        "replay" => (replay_cmd, &["witness"]),
+        "bespoke" => (bespoke, &["profile out"]),
+        "simulate" => (
+            simulate,
+            &[SETUP_FLAGS, "finish cycles eval-mode trace-out vcd watch"],
+        ),
+        "fault" => (fault_cmd, &[SETUP_FLAGS, "cycles max-faults observe"]),
+        "convert" => (convert, &["out"]),
+        "trace" => (crate::trace_cmd::trace_cmd, &["max-lines top out"]),
+        "runs" => (crate::runs_cmd::runs_cmd, &["ledger mad-k rel against"]),
+        other => return Err(format!("unknown command \"{other}\"\n{USAGE}")),
+    };
+    args.reject_unknown(cmd, &[flags, &["log-level log-format"]].concat())?;
+    run(&args)
 }
+
+/// Flags of [`Setup::from_args`].
+const SETUP_FLAGS: &str = "program pmem dmem data inputs";
+
+/// Flags of [`run_coanalysis`] beyond [`SETUP_FLAGS`].
+const COANALYSIS_FLAGS: &str = "monitor qualifier pc finish constraints tagged workers \
+    eval-mode csm-policy policy csm-max-states csm-demote-widenings csm-demote-obs max-cycles \
+    max-paths max-split power trace-out heartbeat-secs progress-out ledger";
 
 /// Whether `--log-format json` is active (machine-parseable output mode).
 fn json_mode(args: &Args) -> bool {
@@ -351,17 +373,6 @@ fn parse_eval_mode(spec: Option<&str>) -> Result<EvalMode, String> {
     }
 }
 
-fn parse_batch_threshold(args: &Args) -> Result<u8, String> {
-    let pct = args.get_usize(
-        "batch-threshold",
-        usize::from(SimConfig::default().batch_threshold_pct),
-    )?;
-    u8::try_from(pct)
-        .ok()
-        .filter(|&p| p <= 100)
-        .ok_or_else(|| format!("--batch-threshold: expected a percentage 0-100, got {pct}"))
-}
-
 fn parse_policy(args: &Args) -> Result<CsmPolicy, String> {
     // --csm-policy is the canonical spelling; --policy remains an alias
     let spec = args.get("csm-policy").or_else(|| args.get("policy"));
@@ -466,7 +477,6 @@ fn run_coanalysis(
                 symsim_logic::PropagationPolicy::Anonymous
             },
             eval_mode: parse_eval_mode(args.get("eval-mode"))?,
-            batch_threshold_pct: parse_batch_threshold(args)?,
             attribution,
             ..SimConfig::default()
         },
@@ -925,18 +935,5 @@ mod tests {
             let err = parse_eval_mode(Some(removed)).unwrap_err();
             assert!(err.contains("expected event, hybrid, or cohort"), "{err}");
         }
-    }
-
-    #[test]
-    fn batch_threshold_parsing() {
-        let ok = Args::parse(&["--batch-threshold".into(), "35".into()]).unwrap();
-        assert_eq!(parse_batch_threshold(&ok).unwrap(), 35);
-        let default = Args::parse(&[]).unwrap();
-        assert_eq!(
-            parse_batch_threshold(&default).unwrap(),
-            SimConfig::default().batch_threshold_pct
-        );
-        let over = Args::parse(&["--batch-threshold".into(), "101".into()]).unwrap();
-        assert!(parse_batch_threshold(&over).is_err());
     }
 }

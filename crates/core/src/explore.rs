@@ -6,7 +6,6 @@ use symsim_logic::{plane::Lanes, Value, Word};
 use symsim_netlist::{NetId, Netlist};
 use symsim_obs::{
     debug, info, trace, tracefile, CounterId, GaugeId, HistogramId, MetricsRegistry, TraceSink,
-    DIRTY_PCT_BUCKETS,
 };
 use symsim_sim::{
     CohortLaneEnd, EvalMode, HaltReason, MonitorSpec, SimConfig, SimState, Simulator, ToggleProfile,
@@ -70,7 +69,7 @@ pub struct CoAnalysisConfig {
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Run-trace sink (`--trace-out`): every path fork, CSM decision, and
     /// path outcome is recorded as an NDJSON event, and per-segment phase
-    /// timing (restore/exec/save/CSM, plus engine settle/batch/event time)
+    /// timing (restore/exec/save/CSM, plus engine settle time)
     /// is both carried on the `path_end` records and observed into the
     /// `phase_*_us` histograms. `None` keeps the hot path free of
     /// timestamps entirely. The caller owns the sink's lifecycle
@@ -195,7 +194,7 @@ struct ObserveTask {
     cycles: u64,
 }
 
-/// A schedulable work item. Event/batch/hybrid modes only ever queue
+/// A schedulable work item. Event and hybrid modes only ever queue
 /// `Seg`; cohort mode adds cohort simulation items and deferred CSM
 /// observations. With one worker the LIFO pop order over these items
 /// reproduces event mode's depth-first CSM observation sequence exactly
@@ -218,10 +217,6 @@ impl TaskWeight for Work {
         }
     }
 }
-
-// the engine and the registry accumulate the dirty-fraction distribution
-// with the same decile bucket layout; folding relies on that
-const _: () = assert!(DIRTY_PCT_BUCKETS == symsim_sim::DIRTY_PCT_BUCKETS);
 
 /// Algorithm 1 of the paper: symbolic hardware-software co-analysis.
 ///
@@ -339,9 +334,6 @@ impl<'n> CoAnalysis<'n> {
                     shard.add(CounterId::BatchedLevelEvals, stats.batched_level_evals);
                     shard.add(CounterId::EventEvals, stats.event_evals);
                     shard.add(CounterId::ForcedWrites, stats.forced_writes);
-                    for (bucket, &n) in stats.dirty_pct_hist.iter().enumerate() {
-                        shard.observe_bucket(HistogramId::DirtyFractionPct, bucket, n);
-                    }
                     if let Some(p) = sim.take_toggle_profile() {
                         profiles.lock().unwrap().push(p);
                     }
@@ -412,7 +404,7 @@ impl<'n> CoAnalysis<'n> {
         F: Fn(&mut Simulator<'_>),
     {
         let mut sim_config = self.config.sim;
-        // tracing needs the engine's settle/batch/event timers
+        // tracing needs the engine's settle timer
         sim_config.profile_phases |= self.config.trace.is_some();
         let mut sim = Simulator::new(self.netlist, sim_config);
         prepare(&mut sim);
@@ -446,13 +438,14 @@ impl<'n> CoAnalysis<'n> {
             let Some(work) = queue.next_task(worker) else {
                 break;
             };
+            // released when this iteration ends, or on unwind (see `Claim`)
+            let _claim = queue.hold(work.weight());
             let wait_us = elapsed_us(wait_t0);
             if tracing {
                 registry
                     .shard(worker)
                     .observe(HistogramId::PhaseSchedWaitUs, wait_us);
             }
-            let weight = work.weight();
             match work {
                 Work::Seg(task) => {
                     self.run_segment(
@@ -466,7 +459,6 @@ impl<'n> CoAnalysis<'n> {
                     self.run_observe(worker, task, queue, csm, created, registry, prov);
                 }
             }
-            queue.task_done(weight);
         }
     }
 
@@ -678,12 +670,8 @@ impl<'n> CoAnalysis<'n> {
             let before = engine_before.expect("taken when tracing");
             let after = sim.engine_stats();
             let settle_us = after.settle_ns.saturating_sub(before.settle_ns) / 1_000;
-            let batch_us = after.batch_eval_ns.saturating_sub(before.batch_eval_ns) / 1_000;
-            let event_us = after.event_eval_ns.saturating_sub(before.event_eval_ns) / 1_000;
             let seg_us = elapsed_us(seg_t0);
             shard.observe(HistogramId::PhaseSettleUs, settle_us);
-            shard.observe(HistogramId::PhaseBatchEvalUs, batch_us);
-            shard.observe(HistogramId::PhaseEventEvalUs, event_us);
             shard.observe(HistogramId::PhaseRestoreUs, restore_us);
             if save_us > 0 {
                 shard.observe(HistogramId::PhaseSaveUs, save_us);
@@ -702,8 +690,6 @@ impl<'n> CoAnalysis<'n> {
                     .u64("save_us", save_us)
                     .u64("csm_us", csm_us)
                     .u64("settle_us", settle_us)
-                    .u64("batch_us", batch_us)
-                    .u64("event_us", event_us)
                     .u64("wait_us", wait_us)
                     .u64("seg_us", seg_us);
             });

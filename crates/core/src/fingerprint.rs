@@ -108,10 +108,9 @@ pub fn config_string(config: &CoAnalysisConfig) -> String {
         symsim_logic::PropagationPolicy::Tagged => "tagged",
     };
     format!(
-        "mode={},batch_pct={},prop={},attr={},policy={},constraints={},\
+        "mode={},prop={},attr={},policy={},constraints={},\
          max_cycles={},max_paths={},max_split={},workers={}",
         config.sim.eval_mode.name(),
-        config.sim.batch_threshold_pct,
         prop,
         config.sim.attribution,
         config.policy.name(),

@@ -51,7 +51,7 @@ pub struct CoAnalysisReport {
     pub simulated_cycles: u64,
     /// Distinct PCs at which conservative states were recorded.
     pub distinct_pcs: usize,
-    /// Level tapes run by the batched evaluation kernel, summed over all
+    /// Levels in which the tape ran a batch, summed over all
     /// workers (zero under [`symsim_sim::EvalMode::Event`]).
     pub batched_level_evals: u64,
     /// Scalar node evaluations (event-driven gates, memory reads, and

@@ -15,9 +15,14 @@
 //! by in-flight tasks), wakes every parked peer, and returns `None`.
 //! Producers notify under the same lock the sleepers wait on, so a push can
 //! never slip between a worker's last empty check and its park.
+//!
+//! A worker holds each claim through a [`Claim`] guard. If the worker
+//! panics, the guard's drop marks the queue failed and wakes every parked
+//! peer; from then on [`WorkQueue::next_task`] returns `None`, so the
+//! workers exit and `thread::scope` re-raises the panic instead of hanging.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use symsim_obs::{CounterId, GaugeId, MetricsRegistry};
@@ -46,6 +51,8 @@ pub struct WorkQueue<T> {
     locals: Box<[Mutex<VecDeque<T>>]>,
     /// Tasks currently claimed by workers (popped but not yet `task_done`).
     active: AtomicUsize,
+    /// Set when a worker unwound while holding a [`Claim`].
+    failed: AtomicBool,
     /// Lock both producers (to notify) and idle consumers (to wait) take;
     /// holding it while re-checking emptiness closes the lost-wakeup race.
     gate: Mutex<()>,
@@ -65,6 +72,7 @@ impl<T> WorkQueue<T> {
             injector: Mutex::new(VecDeque::new()),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             active: AtomicUsize::new(0),
+            failed: AtomicBool::new(false),
             gate: Mutex::new(()),
             cv: Condvar::new(),
             steals: AtomicU64::new(0),
@@ -101,7 +109,12 @@ impl<T> WorkQueue<T> {
     }
 
     fn notify(&self, all: bool) {
-        let _g = self.gate.lock().unwrap();
+        // the gate guards no data, so a poisoned lock is still usable; this
+        // also runs in `Claim::drop` during an unwind, where a panic aborts
+        let _g = self
+            .gate
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if all {
             self.cv.notify_all();
         } else {
@@ -142,13 +155,18 @@ impl<T: TaskWeight> WorkQueue<T> {
     }
 
     /// Blocks until a task is available (claiming it) or exploration is
-    /// complete — every queue empty with no task in flight — in which case
-    /// it returns `None` and the worker should exit.
+    /// over — every queue empty with no task in flight, or a worker
+    /// panicked holding a claim — in which case it returns `None` and the
+    /// worker should exit.
     ///
     /// Every `Some` return must be paired with a [`WorkQueue::task_done`]
-    /// call once the task (including any children it pushes) is finished.
+    /// call once the task (including any children it pushes) is finished,
+    /// best made by dropping the [`WorkQueue::hold`] guard.
     pub fn next_task(&self, worker: usize) -> Option<T> {
         loop {
+            if self.failed.load(Ordering::SeqCst) {
+                return None;
+            }
             // claim *before* popping so a concurrent worker never observes
             // "queues empty and nothing active" while we hold the last task
             self.active.fetch_add(1, Ordering::SeqCst);
@@ -159,6 +177,11 @@ impl<T: TaskWeight> WorkQueue<T> {
             self.active.fetch_sub(1, Ordering::SeqCst);
 
             let g = self.gate.lock().unwrap();
+            // a failing holder notifies under the gate, after setting the
+            // flag: checking it here, gate held, cannot miss the wakeup
+            if self.failed.load(Ordering::SeqCst) {
+                return None;
+            }
             // re-check with the gate held: producers notify under this lock
             // (between their push and their task_done), so any push we miss
             // here still counts as an active claim and forces another pass
@@ -205,6 +228,15 @@ impl<T: TaskWeight> WorkQueue<T> {
         }
     }
 
+    /// Guards the claim on a task of `weight` just returned by
+    /// [`WorkQueue::next_task`]: dropping the guard is `task_done(weight)`.
+    pub fn hold(&self, weight: usize) -> Claim<'_, T> {
+        Claim {
+            queue: self,
+            weight,
+        }
+    }
+
     fn try_pop(&self, worker: usize) -> Option<T> {
         if let Some(t) = self.locals[worker].lock().unwrap().pop_back() {
             return Some(t);
@@ -224,6 +256,29 @@ impl<T: TaskWeight> WorkQueue<T> {
             }
         }
         None
+    }
+}
+
+/// A worker's claim on one task (see [`WorkQueue::hold`]). Dropping it
+/// releases the claim; dropping it while the worker unwinds also fails the
+/// queue and wakes every parked worker, so no peer waits forever on a
+/// claim that will never be released normally.
+#[must_use = "dropping the guard releases the claim"]
+pub struct Claim<'q, T: TaskWeight> {
+    queue: &'q WorkQueue<T>,
+    weight: usize,
+}
+
+impl<T: TaskWeight> Drop for Claim<'_, T> {
+    fn drop(&mut self) {
+        let failing = std::thread::panicking();
+        if failing {
+            self.queue.failed.store(true, Ordering::SeqCst);
+        }
+        self.queue.task_done(self.weight);
+        if failing {
+            self.queue.notify(true);
+        }
     }
 }
 
@@ -391,5 +446,41 @@ mod tests {
             }
         });
         assert!(q.park_count() >= 1, "the idle worker parked");
+    }
+
+    #[test]
+    fn a_panicking_worker_releases_its_parked_peer() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(2));
+        q.inject(0);
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        let holder = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let t = q.next_task(0).expect("the only task");
+                let _claim = q.hold(t.weight());
+                claimed_tx.send(()).unwrap();
+                // panic only once the peer has found every queue empty and
+                // parked (it counts the park before it waits, gate held)
+                while q.park_count() == 0 {
+                    std::thread::yield_now();
+                }
+                panic!("worker panics while holding a task");
+            })
+        };
+        claimed_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let peer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || done_tx.send(q.next_task(1)).unwrap())
+        };
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the peer returns from next_task");
+        assert_eq!(got, None, "a failed queue hands out no more work");
+        assert!(holder.join().is_err(), "the holder's panic propagates");
+        peer.join().unwrap();
     }
 }

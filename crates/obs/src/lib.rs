@@ -59,7 +59,7 @@ pub use json::{escape_json, JsonObject, JsonValue};
 pub use ledger::{env_fingerprint, EnvFingerprint, LedgerEntry, LedgerRecord};
 pub use metrics::{
     CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricShard, MetricsRegistry,
-    MetricsSnapshot, DIRTY_PCT_BUCKETS,
+    MetricsSnapshot,
 };
 pub use profile::{Phase, PhaseTotals};
 pub use trace::{Level, LogFormat};

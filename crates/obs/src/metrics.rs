@@ -28,7 +28,7 @@ pub enum CounterId {
     PathsSimulated,
     /// Total cycles simulated across all paths.
     Cycles,
-    /// Level tapes run by the batched evaluation kernel.
+    /// Levels in which the tape ran at least one batch.
     BatchedLevelEvals,
     /// Scalar node evaluations (event-driven dispatch).
     EventEvals,
@@ -124,11 +124,6 @@ const GAUGES: usize = GaugeId::CsmDistinctPcs as usize + 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HistogramId {
-    /// Dirty fraction (percent) of levels at dispatch time, in deciles:
-    /// buckets `0-9 %, 10-19 %, …, 90-99 %, 100 %`. The engine accumulates
-    /// this locally with the same layout (see [`DIRTY_PCT_BUCKETS`]) and
-    /// the explorer folds it in bucket-for-bucket.
-    DirtyFractionPct,
     /// Fork fan-out: branch concretizations (`2^n` for `n` enumerated
     /// unknown control signals) per fork site, recorded *before* the
     /// `max_paths` clamp — the signal cohort sizing depends on.
@@ -147,19 +142,11 @@ pub enum HistogramId {
     PhaseCsmWidenUs,
     /// Scheduler wait (time blocked in `next_task`) per claim, µs.
     PhaseSchedWaitUs,
-    /// Batched level-tape evaluation time per segment, µs.
-    PhaseBatchEvalUs,
-    /// Scalar event-driven evaluation time per segment, µs.
-    PhaseEventEvalUs,
     /// Member paths per formed cohort (lane occupancy).
     CohortLaneOccupancy,
 }
 
 const HISTOGRAM_COUNT: usize = HistogramId::CohortLaneOccupancy as usize + 1;
-
-/// Bucket count of [`HistogramId::DirtyFractionPct`]: ten deciles plus the
-/// exactly-100% bucket.
-pub const DIRTY_PCT_BUCKETS: usize = 11;
 
 /// Inclusive upper bounds per histogram; values above the last bound land
 /// in one extra overflow bucket.
@@ -168,12 +155,8 @@ pub const DIRTY_PCT_BUCKETS: usize = 11;
 const PHASE_US_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 const HISTOGRAM_BOUNDS: [&[u64]; HISTOGRAM_COUNT] = [
-    // deciles: <=9 → 0-9%, …, <=99 → 90-99%, overflow bucket = exactly 100%
-    &[9, 19, 29, 39, 49, 59, 69, 79, 89, 99],
     &[1, 2, 4, 8, 16, 32, 64],
     &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024],
-    PHASE_US_BOUNDS,
-    PHASE_US_BOUNDS,
     PHASE_US_BOUNDS,
     PHASE_US_BOUNDS,
     PHASE_US_BOUNDS,
@@ -185,7 +168,6 @@ const HISTOGRAM_BOUNDS: [&[u64]; HISTOGRAM_COUNT] = [
 ];
 
 const HISTOGRAM_NAMES: [&str; HISTOGRAM_COUNT] = [
-    "dirty_fraction_pct",
     "split_fanout",
     "segment_cycles",
     "phase_settle_us",
@@ -194,8 +176,6 @@ const HISTOGRAM_NAMES: [&str; HISTOGRAM_COUNT] = [
     "phase_csm_check_us",
     "phase_csm_widen_us",
     "phase_sched_wait_us",
-    "phase_batch_eval_us",
-    "phase_event_eval_us",
     "cohort_lane_occupancy",
 ];
 
@@ -254,15 +234,6 @@ impl MetricShard {
         let bounds = HISTOGRAM_BOUNDS[h as usize];
         let idx = bounds.partition_point(|&b| b < value);
         self.hists[h as usize][idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` pre-bucketed samples directly to bucket `bucket` — used to
-    /// fold an engine-local histogram with the same layout into the
-    /// registry without re-bucketing.
-    #[inline]
-    pub fn observe_bucket(&self, h: HistogramId, bucket: usize, n: u64) {
-        let buckets = HISTOGRAM_BOUNDS[h as usize].len() + 1;
-        self.hists[h as usize][bucket.min(buckets - 1)].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -530,29 +501,6 @@ mod tests {
         assert_eq!(h.counts[1], 1);
         assert_eq!(h.counts[2], 2);
         assert_eq!(*h.counts.last().unwrap(), 1, "overflow bucket");
-    }
-
-    #[test]
-    fn dirty_fraction_deciles_match_the_engine_layout() {
-        let r = MetricsRegistry::new(1);
-        // the engine buckets pct as min(pct / 10, 10); the registry must
-        // land the same values in the same buckets
-        for pct in [0u64, 9, 10, 55, 99, 100] {
-            r.shard(0).observe(HistogramId::DirtyFractionPct, pct);
-            r.shard(0).observe_bucket(
-                HistogramId::DirtyFractionPct,
-                (pct as usize / 10).min(10),
-                1,
-            );
-        }
-        let snap = r.snapshot();
-        let h = &snap.histograms[HistogramId::DirtyFractionPct as usize];
-        assert_eq!(h.counts.len(), DIRTY_PCT_BUCKETS);
-        assert_eq!(h.counts[0], 4, "0 and 9 via both routes");
-        assert_eq!(h.counts[1], 2);
-        assert_eq!(h.counts[5], 2);
-        assert_eq!(h.counts[9], 2);
-        assert_eq!(h.counts[10], 2, "exactly-100% bucket");
     }
 
     #[test]

@@ -27,14 +27,10 @@ pub enum Phase {
     CsmWiden,
     /// Time a worker spent blocked in the scheduler waiting for a task.
     SchedWait,
-    /// Batched level-tape evaluation inside settle.
-    BatchEval,
-    /// Scalar event-driven evaluation inside settle.
-    EventEval,
 }
 
 /// Number of phases; sizes [`PhaseTotals`].
-pub const PHASE_COUNT: usize = Phase::EventEval as usize + 1;
+pub const PHASE_COUNT: usize = Phase::SchedWait as usize + 1;
 
 /// Every phase, in index order.
 pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -44,8 +40,6 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::CsmCheck,
     Phase::CsmWiden,
     Phase::SchedWait,
-    Phase::BatchEval,
-    Phase::EventEval,
 ];
 
 impl Phase {
@@ -58,8 +52,6 @@ impl Phase {
             Phase::CsmCheck => "csm_check",
             Phase::CsmWiden => "csm_widen",
             Phase::SchedWait => "sched_wait",
-            Phase::BatchEval => "batch_eval",
-            Phase::EventEval => "event_eval",
         }
     }
 
@@ -72,8 +64,6 @@ impl Phase {
             Phase::CsmCheck => HistogramId::PhaseCsmCheckUs,
             Phase::CsmWiden => HistogramId::PhaseCsmWidenUs,
             Phase::SchedWait => HistogramId::PhaseSchedWaitUs,
-            Phase::BatchEval => HistogramId::PhaseBatchEvalUs,
-            Phase::EventEval => HistogramId::PhaseEventEvalUs,
         }
     }
 

@@ -358,10 +358,9 @@ impl CsmEvent {
     }
 }
 
-/// Per-segment phase timing carried on a `path_end` record, µs. Engine
-/// phases (`settle`, `batch`, `event`) are zero unless engine profiling
-/// was enabled for the run. `settle` is included in `exec`; `batch` and
-/// `event` are included in `settle`.
+/// Per-segment phase timing carried on a `path_end` record, µs. `settle`
+/// is zero unless engine profiling was enabled for the run, and is
+/// included in `exec`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentPhases {
     /// Snapshot restore when the worker claimed the path.
@@ -374,10 +373,6 @@ pub struct SegmentPhases {
     pub csm_us: u64,
     /// Engine settle time within exec.
     pub settle_us: u64,
-    /// Batched level-tape evaluation within settle.
-    pub batch_us: u64,
-    /// Scalar event-driven evaluation within settle.
-    pub event_us: u64,
     /// Scheduler wait before this segment was claimed.
     pub wait_us: u64,
     /// Whole-segment wall time (claim to outcome).
@@ -613,8 +608,6 @@ impl TraceRecord {
                     save_us: opt_u64(&v, "save_us"),
                     csm_us: opt_u64(&v, "csm_us"),
                     settle_us: opt_u64(&v, "settle_us"),
-                    batch_us: opt_u64(&v, "batch_us"),
-                    event_us: opt_u64(&v, "event_us"),
                     wait_us: opt_u64(&v, "wait_us"),
                     seg_us: opt_u64(&v, "seg_us"),
                 },
@@ -956,15 +949,13 @@ impl Trace {
 
     /// Total µs per phase over every `path_end` (plus CSM record
     /// durations split by kind), descending. `settle` is a subset of
-    /// `exec`; `batch_eval`/`event_eval` are subsets of `settle`.
+    /// `exec`.
     pub fn phase_table(&self) -> Vec<(&'static str, u64)> {
         let mut exec = 0u64;
         let mut restore = 0u64;
         let mut save = 0u64;
         let mut csm = 0u64;
         let mut settle = 0u64;
-        let mut batch = 0u64;
-        let mut event = 0u64;
         let mut wait = 0u64;
         for r in &self.records {
             if let TraceRecord::PathEnd { phases, .. } = r {
@@ -973,16 +964,12 @@ impl Trace {
                 save += phases.save_us;
                 csm += phases.csm_us;
                 settle += phases.settle_us;
-                batch += phases.batch_us;
-                event += phases.event_us;
                 wait += phases.wait_us;
             }
         }
         let mut table = vec![
             ("exec", exec),
             ("settle", settle),
-            ("batch_eval", batch),
-            ("event_eval", event),
             ("snapshot_restore", restore),
             ("snapshot_save", save),
             ("csm_observe", csm),

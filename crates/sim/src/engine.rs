@@ -15,10 +15,11 @@ pub use cohort::{CohortLaneEnd, PathCohort};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalMode {
     /// Pure event-driven: only dirty nodes are evaluated, one at a time.
+    /// The scalar reference the other modes are checked against.
     Event,
-    /// Event-driven below the activity threshold, batched above it
-    /// (the default: dense propagation waves — reset, clock edges — run
-    /// packed, sparse ripples stay event-driven).
+    /// The activity-gated tape (the default): gates run 64 to a batch over
+    /// bit-packed planes, and a batch runs only when one of its input
+    /// operands changed (see [`Simulator::settle`]).
     #[default]
     Hybrid,
     /// Path-cohort evaluation: the explorer packs up to 64 sibling paths
@@ -66,18 +67,13 @@ pub struct SimConfig {
     /// Record the evaluation-event trace (used by the baseline-equivalence
     /// regression check of paper §5.0.1).
     pub trace_events: bool,
-    /// Active-region dispatch: event-driven, hybrid, or cohort.
+    /// Active-region evaluation: event-driven, tape, or cohort.
     /// All modes produce identical values, traces, and observer results;
     /// they differ only in evaluation strategy.
     pub eval_mode: EvalMode,
-    /// Hybrid-mode activity threshold in percent: a level runs its batched
-    /// tape when at least this share of its nodes have pending events.
-    /// `0` batches every level with a pending event;
-    /// `100` requires a fully dirty level.
-    pub batch_threshold_pct: u8,
-    /// Time settle and its batch/event dispatch paths (nanosecond fields in
-    /// [`EngineStats`]). Off by default: no timestamps are taken on the hot
-    /// path unless a profiler or trace sink asked for them.
+    /// Time settle ([`EngineStats::settle_ns`]). Off by default: no
+    /// timestamps are taken on the hot path unless a profiler or trace
+    /// sink asked for them.
     pub profile_phases: bool,
     /// First-exercise attribution: when the toggle observer is armed, also
     /// record the *cycle* of each net's first toggle since the last drain
@@ -94,10 +90,6 @@ impl Default for SimConfig {
             max_addr_enum_bits: 10,
             trace_events: false,
             eval_mode: EvalMode::default(),
-            // measured sweet spot on the omsp16/bm32/dr5 benchmarks: the
-            // batched tape wins even at low dirty fractions because lean
-            // write-back makes a skipped batch nearly free
-            batch_threshold_pct: 5,
             profile_phases: false,
             attribution: false,
         }
@@ -195,7 +187,8 @@ struct WritePortSample {
 /// per (level, kind) would.
 ///
 /// `node` holds the comb-node index per lane (for event traces and the
-/// scalar fallback), `out` the output net per lane. The batch's operand
+/// scalar fallback), `out` the output net per lane. A batch runs when its
+/// lane mask in [`Simulator::batch_dirty`] is non-zero. The batch's operand
 /// planes live in [`Simulator::packed`] (4 [`PackedOp`]s per batch).
 #[derive(Debug)]
 struct GateBatch {
@@ -211,8 +204,9 @@ struct GateBatch {
 /// These are *caches maintained event-style*: whenever a net's value
 /// changes, [`Simulator::update_packed`] patches the one bit of every
 /// operand reading that net (the subscriber list is compiled next to the
-/// fanout map). Running a batch therefore needs no gather at all — it is
-/// a handful of word-ops plus a change-mask-driven write-back.
+/// fanout map) and flags each reading batch. Running a batch therefore
+/// needs no gather at all — it is a handful of word-ops plus a
+/// change-mask-driven write-back.
 #[derive(Debug, Default, Clone, Copy)]
 struct PackedOp {
     val: u64,
@@ -231,15 +225,12 @@ impl PackedOp {
 }
 
 /// The compiled instruction tape of one logic level: a contiguous range of
-/// kind-sorted [`GateBatch`]es in [`Simulator::batches`], plus the level's
-/// total comb-node count (the denominator of the hybrid activity
-/// threshold). Memory-read nodes stay scalar — their conservative-merge
-/// semantics are not plane-packable.
+/// kind-sorted [`GateBatch`]es in [`Simulator::batches`]. Memory-read nodes
+/// stay scalar — their conservative-merge semantics are not plane-packable.
 #[derive(Debug, Default, Clone, Copy)]
 struct LevelTape {
     first_batch: u32,
     batch_count: u32,
-    node_count: usize,
 }
 
 /// One subscription of a net to a batch operand bit:
@@ -249,45 +240,21 @@ type PackedSub = u32;
 
 const SUB_OUT: u32 = 3;
 
-/// [`Simulator::batch_dirty`] bit: a node of the batch was scheduled
-/// event-style (its level's dirty bucket is complete, so the level may
-/// still drain event-by-event below the activity threshold).
-const DIRTY_SCHED: u8 = 1;
-/// [`Simulator::batch_dirty`] bit: an operand changed via the batched
-/// write-back, which skips per-node scheduling — the level's bucket is
-/// incomplete and the level *must* run its tape.
-const DIRTY_LEAN: u8 = 2;
-
-/// Buckets of [`EngineStats::dirty_pct_hist`]: ten deciles (`0-9 %` …
-/// `90-99 %`) plus the exactly-100% bucket. The layout matches
-/// `symsim_obs`'s `dirty_fraction_pct` histogram, so the explorer can fold
-/// the counts in bucket-for-bucket.
-pub const DIRTY_PCT_BUCKETS: usize = 11;
-
 /// Per-simulator evaluation statistics since construction — plain counters
 /// a worker drains into the shared metrics registry once at the end of its
 /// exploration (see [`Simulator::engine_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Level tapes run by the batched kernel.
+    /// Levels in which the tape ran at least one batch.
     pub batched_level_evals: u64,
     /// Scalar node evaluations (event-driven gates, memory reads, and
     /// symbolic-lane fallbacks).
     pub event_evals: u64,
     /// Evaluation writes overridden by an active force (path steering).
     pub forced_writes: u64,
-    /// Histogram of the dirty fraction (percent of nodes with pending
-    /// events) of each dispatched level, bucketed `min(pct / 10, 10)`.
-    pub dirty_pct_hist: [u64; DIRTY_PCT_BUCKETS],
     /// Wall time inside [`Simulator::settle`], ns. Zero unless
     /// [`SimConfig::profile_phases`] is set.
     pub settle_ns: u64,
-    /// Wall time of batched level-tape dispatches within settle, ns. Zero
-    /// unless [`SimConfig::profile_phases`] is set.
-    pub batch_eval_ns: u64,
-    /// Wall time of scalar event-driven drains within settle, ns. Zero
-    /// unless [`SimConfig::profile_phases`] is set.
-    pub event_eval_ns: u64,
 }
 
 /// The event-driven gate-level simulator.
@@ -314,18 +281,19 @@ pub struct Simulator<'n> {
     tapes: Vec<LevelTape>,   // per-level ranges into `batches`
     batches: Vec<GateBatch>, // all gate batches, level-major
     packed: Vec<PackedOp>,   // 4 operand planes per batch, flat
-    node_batch: Vec<u32>,    // node -> owning batch (u32::MAX for MemReads)
-    batch_dirty: Vec<u8>,    // batch -> DIRTY_SCHED | DIRTY_LEAN bits
+    node_lane: Vec<u32>,     // node -> `batch << 6 | lane` (u32::MAX for MemReads)
+    batch_dirty: Vec<u64>,   // batch -> lanes with an input change since its last run
     // net -> its memory-read readers only (CSR like `fanout_*`): the one
-    // fanout class the batched write-back must still schedule explicitly
+    // fanout class the tape still queues
     memread_fanout_start: Vec<u32>,
     memread_fanout_list: Vec<u32>,
     // net -> batch operand bits mirroring it (see `PackedSub`), flattened
-    // CSR like `fanout_*`; only maintained when `maintain_packed` (batch
-    // dispatch is possible)
+    // CSR like `fanout_*`; only maintained when `tape`
     subs_start: Vec<u32>,
     subs_list: Vec<PackedSub>,
-    maintain_packed: bool,
+    // gates run as batches (every mode but event); memory reads, and
+    // every node in event mode, go through the `dirty` queues
+    tape: bool,
     // mutable simulation state
     values: Vec<Value>,
     mems: Vec<MemArray>,
@@ -336,20 +304,16 @@ pub struct Simulator<'n> {
     // scheduling
     dirty: Vec<Vec<u32>>, // buckets by level
     in_queue: Vec<bool>,
-    // dispatch statistics: batched tape runs vs scalar node evaluations,
-    // force-overridden eval writes, and the dirty-fraction decile histogram
-    // (see `EngineStats`) — plain fields, not atomics: each simulator is
-    // single-threaded and the explorer drains them into the shared metrics
-    // registry once per worker, keeping the hot loop free of shared writes
+    // evaluation statistics (see `EngineStats`) — plain fields, not
+    // atomics: each simulator is single-threaded and the explorer drains
+    // them into the shared metrics registry once per worker, keeping the
+    // hot loop free of shared writes
     batched_level_evals: u64,
     event_evals: u64,
     forced_writes: u64,
-    dirty_pct_hist: [u64; DIRTY_PCT_BUCKETS],
-    // phase-profiler accumulators (ns); written only when
-    // `config.profile_phases` — the default hot path takes no timestamps
+    // settle time (ns); written only when `config.profile_phases` — the
+    // default hot path takes no timestamps
     settle_ns: u64,
-    batch_eval_ns: u64,
-    event_eval_ns: u64,
     // per-cycle scratch, reused so the clock loop allocates nothing
     dff_scratch: Vec<Value>,
     wp_scratch: Vec<WritePortSample>,
@@ -404,7 +368,7 @@ impl<'n> Simulator<'n> {
             })
             .collect();
 
-        let (tapes, batches, node_batch, packed_subs) =
+        let (tapes, batches, node_lane, packed_subs) =
             compile_tapes(netlist, &nodes, &level, max_level);
         let (subs_start, subs_list) = flatten_csr(&packed_subs);
 
@@ -469,7 +433,7 @@ impl<'n> Simulator<'n> {
 
         let mem_count = netlist.memories().len();
         let packed = vec![PackedOp::default(); batches.len() * 4];
-        let batch_dirty = vec![DIRTY_SCHED; batches.len()];
+        let batch_dirty = vec![0; batches.len()];
         let mut sim = Simulator {
             netlist,
             config,
@@ -486,12 +450,11 @@ impl<'n> Simulator<'n> {
             tapes,
             batches,
             packed,
-            node_batch,
+            node_lane,
             batch_dirty,
             subs_start,
             subs_list,
-            // the packed batch-operand caches serve the batched tape
-            maintain_packed: config.eval_mode != EvalMode::Event,
+            tape: config.eval_mode != EvalMode::Event,
             forced: vec![false; values.len()],
             values,
             mems,
@@ -502,10 +465,7 @@ impl<'n> Simulator<'n> {
             batched_level_evals: 0,
             event_evals: 0,
             forced_writes: 0,
-            dirty_pct_hist: [0; DIRTY_PCT_BUCKETS],
             settle_ns: 0,
-            batch_eval_ns: 0,
-            event_eval_ns: 0,
             nodes,
             dff_scratch,
             wp_scratch,
@@ -519,8 +479,15 @@ impl<'n> Simulator<'n> {
             region_trace: Vec::new(),
             trace_regions: false,
         };
-        sim.rebuild_packed();
-        sim.schedule_all();
+        if sim.tape {
+            // fill the operand caches from the power-on values
+            for net in 0..sim.values.len() {
+                sim.update_packed::<false>(net as u32, sim.values[net]);
+            }
+        }
+        for node in 0..sim.nodes.len() as u32 {
+            sim.schedule_node(node);
+        }
         sim
     }
 
@@ -611,8 +578,9 @@ impl<'n> Simulator<'n> {
             .collect()
     }
 
-    /// Drives a primary input (or any undriven net) to `value` and schedules
-    /// its fanout.
+    /// Drives a primary input (or any net) to `value` and wakes its readers.
+    /// A poke on a gate's output holds until one of that gate's inputs
+    /// changes.
     pub fn poke(&mut self, net: NetId, value: Value) {
         self.set_value(net, value, false);
     }
@@ -638,14 +606,7 @@ impl<'n> Simulator<'n> {
     pub fn force(&mut self, net: NetId, value: Value) {
         self.forces.insert(net.0, value);
         self.forced[net.0 as usize] = true;
-        if self.values[net.0 as usize] != value {
-            self.values[net.0 as usize] = value;
-            if self.maintain_packed {
-                self.update_packed::<false>(net.0, value);
-            }
-            self.mark_toggled(net);
-            self.schedule_fanout(net);
-        }
+        self.set_value(net, value, false);
     }
 
     /// Releases all forces and re-evaluates the affected drivers.
@@ -770,33 +731,17 @@ impl<'n> Simulator<'n> {
             self.forced[n as usize] = false;
         }
         self.forces.clear();
-        if self.maintain_packed {
-            // diff against the incoming snapshot and patch only the operand
-            // bits of nets that actually differ: exploration restores
-            // closely-related states, so this is far cheaper than a full
-            // rebuild per fork
-            for (net, (cur, new)) in self.values.iter_mut().zip(&state.values).enumerate() {
-                if *cur != *new {
-                    *cur = *new;
-                    let v = *cur;
-                    // an inlined `update_packed` is blocked by the borrow of
-                    // `self.values`; patch through disjoint fields instead
-                    let (vb, ub) = plane::encode(v);
-                    let sym = matches!(v, Value::Sym(_)) || v == Value::Z;
-                    let s = self.subs_start[net] as usize;
-                    let e = self.subs_start[net + 1] as usize;
-                    for k in s..e {
-                        let r = self.subs_list[k];
-                        let m = 1u64 << (r & 63);
-                        let p = &mut self.packed[(r >> 6) as usize];
-                        p.val = p.val & !m | if vb { m } else { 0 };
-                        p.unk = p.unk & !m | if ub { m } else { 0 };
-                        p.sym = p.sym & !m | if sym { m } else { 0 };
-                    }
+        // diff against the incoming snapshot and patch only the operand
+        // bits of nets that actually differ: exploration restores
+        // closely-related states, so this is far cheaper than a full
+        // rebuild per fork
+        for (net, &v) in state.values.iter().enumerate() {
+            if self.values[net] != v {
+                self.values[net] = v;
+                if self.tape {
+                    self.update_packed::<false>(net as u32, v);
                 }
             }
-        } else {
-            self.values.clone_from(&state.values);
         }
         self.mems.clone_from(&state.mems);
         self.cycle = state.cycle;
@@ -805,35 +750,22 @@ impl<'n> Simulator<'n> {
         for bucket in &mut self.dirty {
             bucket.clear();
         }
-        self.in_queue.iter_mut().for_each(|b| *b = false);
+        self.in_queue.fill(false);
+        self.batch_dirty.fill(0);
     }
 
     // ---- event loop ----
 
-    fn schedule_all(&mut self) {
-        for i in 0..self.nodes.len() {
-            self.schedule_node(i as u32);
-        }
-    }
-
+    /// Marks node `idx` for evaluation in the next settle: on the tape a
+    /// gate flags its lane of its batch, anything else joins its level's
+    /// queue.
     fn schedule_node(&mut self, idx: u32) {
-        if !self.in_queue[idx as usize] {
+        let bl = self.node_lane[idx as usize];
+        if self.tape && bl != u32::MAX {
+            self.batch_dirty[(bl >> 6) as usize] |= 1 << (bl & 63);
+        } else if !self.in_queue[idx as usize] {
             self.in_queue[idx as usize] = true;
             self.dirty[self.level[idx as usize] as usize].push(idx);
-            // a scheduled gate makes its batch stale, whatever the cause
-            // (operand change, force release, explicit re-schedule)
-            let b = self.node_batch[idx as usize];
-            if b != u32::MAX {
-                self.batch_dirty[b as usize] |= DIRTY_SCHED;
-            }
-        }
-    }
-
-    fn schedule_fanout(&mut self, net: NetId) {
-        let s = self.fanout_start[net.0 as usize] as usize;
-        let e = self.fanout_start[net.0 as usize + 1] as usize;
-        for k in s..e {
-            self.schedule_node(self.fanout_list[k]);
         }
     }
 
@@ -887,24 +819,42 @@ impl<'n> Simulator<'n> {
             value
         };
         if self.values[net.0 as usize] != value {
-            self.values[net.0 as usize] = value;
-            if self.maintain_packed {
-                self.update_packed::<false>(net.0, value);
+            self.net_changed(net.0, value);
+        }
+    }
+
+    /// Stores a changed value of `net` and wakes everything that reads it.
+    /// Every value change — poke, force, clock edge, evaluation, batch
+    /// write-back — comes through here. In event mode each reading node is
+    /// queued; on the tape each reading gate's batch is flagged (by
+    /// [`Simulator::update_packed`]) and only memory-read readers are
+    /// queued.
+    fn net_changed(&mut self, net: u32, v: Value) {
+        self.values[net as usize] = v;
+        self.mark_toggled(NetId(net));
+        let n = net as usize;
+        if self.tape {
+            self.update_packed::<true>(net, v);
+            for k in self.memread_fanout_start[n]..self.memread_fanout_start[n + 1] {
+                self.schedule_node(self.memread_fanout_list[k as usize]);
             }
-            self.mark_toggled(net);
-            self.schedule_fanout(net);
+        } else {
+            for k in self.fanout_start[n]..self.fanout_start[n + 1] {
+                self.schedule_node(self.fanout_list[k as usize]);
+            }
         }
     }
 
     /// Patches the one bit of every batch operand plane mirroring `net`.
     /// This is the event-style maintenance of the packed caches: paid once
-    /// per value *change* (alongside fanout scheduling, and proportional to
-    /// the same fanout count), so [`Simulator::run_batch`] never gathers.
+    /// per value *change* (proportional to the net's fanout), so
+    /// [`Simulator::run_batch`] never gathers.
     ///
-    /// With `MARK`, every subscribing batch is also flagged [`DIRTY_LEAN`]:
-    /// the batched write-back uses this in place of per-node fanout
-    /// scheduling, so a dense wave cascades level-to-level through batch
-    /// dirty bits alone.
+    /// With `MARK`, the lane of every gate reading `net` is also flagged in
+    /// its batch's [`Simulator::batch_dirty`] mask. The gate driving `net`
+    /// is not: a value written on a gate's output — its own write-back, a
+    /// poke, a force — holds until one of the gate's inputs changes,
+    /// exactly as in event mode.
     #[inline]
     fn update_packed<const MARK: bool>(&mut self, net: u32, v: Value) {
         let (vb, ub) = plane::encode(v);
@@ -922,175 +872,71 @@ impl<'n> Simulator<'n> {
             p.val = p.val & !m | if vb { m } else { 0 };
             p.unk = p.unk & !m | if ub { m } else { 0 };
             p.sym = p.sym & !m | if sym { m } else { 0 };
-            if MARK {
-                self.batch_dirty[(r >> 8) as usize] |= DIRTY_LEAN;
+            if MARK && (r >> 6) & 3 != SUB_OUT {
+                self.batch_dirty[(r >> 8) as usize] |= m;
             }
         }
     }
 
-    /// Rebuilds every batch operand cache from the scalar store
-    /// (construction).
-    fn rebuild_packed(&mut self) {
-        if !self.maintain_packed {
-            return;
-        }
-        for net in 0..self.values.len() {
-            if self.subs_start[net] != self.subs_start[net + 1] {
-                let v = self.values[net];
-                self.update_packed::<false>(net as u32, v);
-            }
-        }
-    }
-
-    /// `(batched_level_evals, event_evals)`: level tapes run batched, and
-    /// scalar node evaluations (event-driven gates, memory reads, and
-    /// symbolic-lane fallbacks) since construction.
-    pub fn eval_stats(&self) -> (u64, u64) {
-        (self.batched_level_evals, self.event_evals)
-    }
-
-    /// Full evaluation statistics since construction (a superset of
-    /// [`Simulator::eval_stats`]).
+    /// Evaluation statistics since construction.
     pub fn engine_stats(&self) -> EngineStats {
         EngineStats {
             batched_level_evals: self.batched_level_evals,
             event_evals: self.event_evals,
             forced_writes: self.forced_writes,
-            dirty_pct_hist: self.dirty_pct_hist,
             settle_ns: self.settle_ns,
-            batch_eval_ns: self.batch_eval_ns,
-            event_eval_ns: self.event_eval_ns,
         }
     }
 
     /// Propagates all pending events to quiescence (the Active region).
     /// Returns the number of node evaluations performed.
     ///
-    /// Dispatch is hybrid (see [`EvalMode`]): a level whose dirty fraction
-    /// reaches the activity threshold runs its compiled bit-packed tape —
-    /// re-evaluating a clean gate is idempotent, and change detection keeps
-    /// traces/observers identical to the event-driven path — otherwise the
-    /// level drains event-by-event. Forced nets keep their overrides in
-    /// both paths (the batched write-back consults the force map).
+    /// One ascending pass over the levels: each level drains its queue
+    /// (every dirty node in event mode, memory reads only on the tape),
+    /// then runs each batch of its tape with a flagged lane. Nodes only
+    /// wake strictly higher levels, so the pass reaches quiescence. The
+    /// tape writes back only flagged lanes, and only on a change, so
+    /// values, traces and observers match event mode. Forced nets keep
+    /// their overrides on both paths.
     pub fn settle(&mut self) -> usize {
-        if !self.config.profile_phases {
-            return self.settle_inner();
-        }
-        let t0 = std::time::Instant::now();
-        let evals = self.settle_inner();
-        self.settle_ns += t0.elapsed().as_nanos() as u64;
-        evals
-    }
-
-    fn settle_inner(&mut self) -> usize {
+        let t0 = self.config.profile_phases.then(std::time::Instant::now);
         let mut evals = 0;
-        let profile = self.config.profile_phases;
-        let batch_ok = self.config.eval_mode != EvalMode::Event;
         for lvl in 0..=self.max_level as usize {
-            // nodes only schedule strictly higher levels, so one ascending
-            // pass reaches quiescence; same-level insertions are drained here
-            let tape = self.tapes[lvl];
-            let (first, last) = (
-                tape.first_batch as usize,
-                (tape.first_batch + tape.batch_count) as usize,
-            );
-            let mut stale = 0u8;
-            if batch_ok {
-                for &d in &self.batch_dirty[first..last] {
-                    stale |= d;
-                }
-            }
-            // DIRTY_LEAN forces the tape: upstream changes propagated via
-            // batch bits alone, so the bucket under-counts this level
-            let use_batch = batch_ok
-                && tape.batch_count > 0
-                && (stale & DIRTY_LEAN != 0
-                    || self.dirty[lvl].len() * 100
-                        >= tape.node_count * usize::from(self.config.batch_threshold_pct));
-            if stale != 0 || !self.dirty[lvl].is_empty() {
-                // dirty-fraction distribution of dispatched levels: a plain
-                // array increment, so always-on costs nothing measurable
-                let pct = self.dirty[lvl].len() * 100 / tape.node_count.max(1);
-                self.dirty_pct_hist[(pct / 10).min(DIRTY_PCT_BUCKETS - 1)] += 1;
-            }
-            if use_batch {
-                if stale != 0 || !self.dirty[lvl].is_empty() {
-                    if profile {
-                        let t = std::time::Instant::now();
-                        evals += self.run_level_batch(lvl);
-                        self.batch_eval_ns += t.elapsed().as_nanos() as u64;
-                    } else {
-                        evals += self.run_level_batch(lvl);
-                    }
-                }
-            } else {
-                if !self.dirty[lvl].is_empty() {
-                    let t = profile.then(std::time::Instant::now);
-                    while let Some(idx) = self.dirty[lvl].pop() {
-                        self.in_queue[idx as usize] = false;
-                        self.eval_node(idx);
-                        evals += 1;
-                    }
-                    if let Some(t) = t {
-                        self.event_eval_ns += t.elapsed().as_nanos() as u64;
-                    }
-                }
-                if stale != 0 {
-                    // every stale batch here was scheduled (DIRTY_SCHED
-                    // only — lean bits force the tape), and the drain above
-                    // just evaluated those nodes scalar
-                    self.batch_dirty[first..last].fill(0);
-                }
-            }
-        }
-        evals
-    }
-
-    /// Runs one level's compiled tape: drain the dirty bucket (scalar-eval
-    /// any non-gate nodes in it), then evaluate every gate batch of the
-    /// level with word-ops. Returns the number of nodes evaluated.
-    fn run_level_batch(&mut self, lvl: usize) -> usize {
-        let mut evals = 0;
-        // drain pending events for this level: gates are covered by the
-        // tape; memory-read nodes are not plane-packable and stay scalar
-        let mut bucket = std::mem::take(&mut self.dirty[lvl]);
-        for &idx in &bucket {
-            self.in_queue[idx as usize] = false;
-            if matches!(self.nodes[idx as usize], CombNode::MemRead { .. }) {
+            while let Some(idx) = self.dirty[lvl].pop() {
+                self.in_queue[idx as usize] = false;
                 self.eval_node(idx);
                 evals += 1;
             }
-        }
-        bucket.clear();
-        self.dirty[lvl] = bucket;
-
-        let tape = self.tapes[lvl];
-        for bi in tape.first_batch..tape.first_batch + tape.batch_count {
-            // only batches with a changed operand since their last run can
-            // produce new outputs; the rest skip without touching planes
-            if self.batch_dirty[bi as usize] != 0 {
-                self.batch_dirty[bi as usize] = 0;
-                evals += self.run_batch(bi as usize);
+            let tape = self.tapes[lvl];
+            let mut ran = false;
+            for bi in tape.first_batch as usize..(tape.first_batch + tape.batch_count) as usize {
+                let lanes = std::mem::take(&mut self.batch_dirty[bi]);
+                if lanes != 0 {
+                    evals += self.run_batch(bi, lanes);
+                    ran = true;
+                }
             }
+            self.batched_level_evals += u64::from(ran);
         }
-        self.batched_level_evals += 1;
+        if let Some(t0) = t0 {
+            self.settle_ns += t0.elapsed().as_nanos() as u64;
+        }
         evals
     }
 
-    /// Evaluates up to 64 gates with one word-op per kind present over the
-    /// batch's pre-packed operand planes, then writes back only the lanes whose
-    /// output actually changed — found in bulk by diffing the new planes
-    /// against the cached output planes, so unchanged lanes cost nothing.
-    /// Lanes carrying tagged symbols fall back to scalar evaluation to
-    /// preserve symbol identity under [`PropagationPolicy::Tagged`].
-    fn run_batch(&mut self, bi: usize) -> usize {
+    /// Evaluates the gates of batch `bi` with one word-op per kind present
+    /// over the batch's pre-packed operand planes, then writes back the
+    /// `lanes` (those with an input change) whose output actually changed
+    /// — found in bulk by diffing the new planes against the cached output
+    /// planes, so unchanged lanes cost nothing. Lanes carrying tagged
+    /// symbols fall back to scalar evaluation to preserve symbol identity
+    /// under [`PropagationPolicy::Tagged`]. Returns the lanes evaluated.
+    fn run_batch(&mut self, bi: usize, lanes: u64) -> usize {
         use symsim_netlist::CellKind as K;
-        let n = self.batches[bi].out.len();
-        let used = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
         let [p0, p1, p2, po]: [PackedOp; 4] = self.packed[bi * 4..bi * 4 + 4]
             .try_into()
             .expect("4 operand planes per batch");
-        let symmask = (p0.sym | p1.sym | p2.sym) & used;
+        let symmask = (p0.sym | p1.sym | p2.sym) & lanes;
         // lanes are kind-sorted, so this is one word-op evaluation per
         // kind present (usually 1-3), merged by disjoint lane masks
         let mut y = Lanes { val: 0, unk: 0 };
@@ -1114,11 +960,7 @@ impl<'n> Simulator<'n> {
         // a lane must be revisited when its planes differ from the cached
         // output planes, or when its stored output is inexact (the planes
         // fold symbols/Z to unknown, hiding e.g. Sym -> X transitions)
-        let diff = ((y.val ^ po.val) | (y.unk ^ po.unk) | po.sym) & used & !symmask;
-        if symmask | diff == 0 {
-            return n;
-        }
-        let trace = self.config.trace_events;
+        let diff = ((y.val ^ po.val) | (y.unk ^ po.unk) | po.sym) & lanes & !symmask;
 
         let mut m = symmask;
         while m != 0 {
@@ -1131,34 +973,18 @@ impl<'n> Simulator<'n> {
         }
         let mut m = diff;
         while m != 0 {
-            let i = m.trailing_zeros();
+            let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            let net = self.batches[bi].out[i as usize];
-            let mut v = y.get(i);
-            if self.forced[net as usize] {
-                // a forced output keeps its override, exactly like the
-                // scalar path's `set_value(.., from_eval = true)`
-                v = self.forces[&net];
+            let net = self.batches[bi].out[i];
+            let v = y.get(i as u32);
+            if self.config.trace_events && self.values[net as usize] != v {
+                self.event_trace
+                    .push((self.cycle, self.batches[bi].node[i]));
             }
-            if self.values[net as usize] != v {
-                if trace {
-                    let node = self.batches[bi].node[i as usize];
-                    self.event_trace.push((self.cycle, node));
-                }
-                self.values[net as usize] = v;
-                // lean write-back: subscribing batches are flagged by
-                // `update_packed`, so gate fanout needs no per-node
-                // scheduling — only memory-read readers stay event-driven
-                self.update_packed::<true>(net, v);
-                self.mark_toggled(NetId(net));
-                let ms = self.memread_fanout_start[net as usize] as usize;
-                let me = self.memread_fanout_start[net as usize + 1] as usize;
-                for k in ms..me {
-                    self.schedule_node(self.memread_fanout_list[k]);
-                }
-            }
+            // a forced output keeps its override, as on the scalar path
+            self.set_value(NetId(net), v, true);
         }
-        n
+        lanes.count_ones() as usize
     }
 
     fn eval_node(&mut self, idx: u32) {
@@ -1421,8 +1247,8 @@ fn flatten_csr<T: Copy>(nested: &[Vec<T>]) -> (Vec<u32>, Vec<T>) {
 
 /// Compiles the levelized netlist into per-level instruction tapes: each
 /// level's gates sorted by kind and chunked into [`GateBatch`]es of up to
-/// 64 lanes, so [`Simulator::run_level_batch`] evaluates a level with a
-/// handful of word-ops instead of per-gate dispatch. Alongside the batches
+/// 64 lanes, so [`Simulator::settle`] evaluates a level with a handful of
+/// word-ops instead of per-gate dispatch. Alongside the batches
 /// it builds the net -> operand-bit subscriber map that keeps the batch
 /// operand planes current (see [`Simulator::update_packed`]).
 fn compile_tapes(
@@ -1438,14 +1264,12 @@ fn compile_tapes(
 ) {
     let mut tapes = vec![LevelTape::default(); max_level as usize + 1];
     let mut batches: Vec<GateBatch> = Vec::new();
-    let mut node_batch = vec![u32::MAX; nodes.len()];
+    let mut node_lane = vec![u32::MAX; nodes.len()];
     let mut subs: Vec<Vec<PackedSub>> = vec![Vec::new(); netlist.net_count()];
     let mut gates_per_level: Vec<Vec<u32>> = vec![Vec::new(); max_level as usize + 1];
     for (i, &node) in nodes.iter().enumerate() {
-        let lvl = level[i] as usize;
-        tapes[lvl].node_count += 1;
         if matches!(node, CombNode::Gate(_)) {
-            gates_per_level[lvl].push(i as u32);
+            gates_per_level[level[i] as usize].push(i as u32);
         }
     }
     let kind_of = |i: u32| {
@@ -1474,7 +1298,7 @@ fn compile_tapes(
                 let gate = netlist.gate(g);
                 batch.node.push(ni);
                 batch.out.push(gate.output.0);
-                node_batch[ni as usize] = bi;
+                node_lane[ni as usize] = bi << 6 | lane as u32;
                 match batch.kinds.last_mut() {
                     Some((k, mask)) if *k == gate.kind => *mask |= 1 << lane,
                     _ => batch.kinds.push((gate.kind, 1 << lane)),
@@ -1489,7 +1313,7 @@ fn compile_tapes(
         }
         tapes[lvl].batch_count = batches.len() as u32 - tapes[lvl].first_batch;
     }
-    (tapes, batches, node_batch, subs)
+    (tapes, batches, node_lane, subs)
 }
 
 enum AddrSet {

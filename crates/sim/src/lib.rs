@@ -59,7 +59,7 @@ mod vcd;
 pub use activity::ActivityStats;
 pub use engine::{
     CohortLaneEnd, EngineStats, EvalMode, HaltReason, MonitorSpec, PathCohort, Region, SimConfig,
-    Simulator, DIRTY_PCT_BUCKETS,
+    Simulator,
 };
 pub use observer::ToggleProfile;
 pub use state::{
